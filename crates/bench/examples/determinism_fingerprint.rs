@@ -166,7 +166,8 @@ fn check_soc_kernels() {
 /// The observability honesty contract as a hard gate: arming a
 /// [`Tracer`] must not move a single modeled cycle, retired
 /// instruction, or output byte — at the SoC level (firmware runs with
-/// span emission) and at the serving level (the queueing simulation) —
+/// span emission) and at the serving level (the serve and fleet
+/// queueing simulations, chaos and autoscaling included) —
 /// while still actually recording spans that pass structural
 /// validation.
 fn check_tracing_invisible() {
@@ -199,11 +200,14 @@ fn check_tracing_invisible() {
     );
     trace.validate().expect("soc trace must be well-formed");
 
-    // Serving level: simulate vs simulate_traced on a synthetic
-    // profile, spanning both worker modes.
+    // Serving level: armed vs disarmed simulation on synthetic
+    // profiles — both serve worker modes plus a serial chaos spec
+    // (every fault kind, timeout, retries), and a multi-pool
+    // autoscaled fleet.
     use rvnv_soc::batch::Policy;
+    use rvnv_soc::fleet::{self, FleetSpec, PoolProfile, PoolSpec, TrafficShape};
     use rvnv_soc::serve::{
-        simulate, simulate_traced, ArrivalProcess, RequestTrace, ServeSpec, ServiceModel,
+        simulate, ArrivalProcess, FaultSpec, RequestTrace, ServeSpec, ServiceModel,
     };
     let hz = 100_000_000u64;
     let service = ServiceModel {
@@ -215,21 +219,40 @@ fn check_tracing_invisible() {
         rewarm: 20_000,
     };
     let names = vec!["a".to_string(), "b".to_string()];
-    for pipelined in [false, true] {
-        let spec = ServeSpec {
-            process: ArrivalProcess::Poisson,
-            rate_rps: 800,
-            duration_ms: 40,
-            seed: 42,
-            workers: 2,
-            policy: Policy::RoundRobin,
-            pipelined,
-            queue_depth: 8,
-            slo_us: 5_000,
-            timeout_us: 0,
-            retries: 0,
-            faults: None,
-        };
+    let base = ServeSpec {
+        process: ArrivalProcess::Poisson,
+        rate_rps: 800,
+        duration_ms: 40,
+        seed: 42,
+        workers: 2,
+        policy: Policy::RoundRobin,
+        pipelined: false,
+        queue_depth: 8,
+        slo_us: 5_000,
+        timeout_us: 0,
+        retries: 0,
+        faults: None,
+    };
+    let chaos = ServeSpec {
+        timeout_us: 1_500,
+        retries: 2,
+        faults: Some(FaultSpec {
+            seed: 7,
+            flip_per_million: 60_000,
+            error_per_million: 60_000,
+            spike_per_million: 60_000,
+            spike_us: 800,
+            hang_per_million: 40_000,
+            crash_per_million: 40_000,
+        }),
+        ..base
+    };
+    let pipelined = ServeSpec {
+        pipelined: true,
+        ..base
+    };
+    for (label, spec) in [("serial", base), ("pipelined", pipelined), ("chaos", chaos)] {
+        spec.validate().expect("gate spec is consistent");
         let reqs = RequestTrace::generate(
             spec.process,
             spec.rate_rps,
@@ -239,20 +262,93 @@ fn check_tracing_invisible() {
             hz,
         );
         let serve_tracer = Tracer::armed();
-        let on = simulate_traced(&reqs, &service, &spec, &names, hz, &serve_tracer);
-        let off = simulate(&reqs, &service, &spec, &names, hz);
+        let on = simulate(&reqs, &service, &spec, &names, hz, &serve_tracer);
+        let off = simulate(&reqs, &service, &spec, &names, hz, &Tracer::disarmed());
         assert_eq!(
             on, off,
-            "pipelined={pipelined}: traced serve report diverged from untraced"
+            "{label}: traced serve report diverged from untraced"
         );
+        if label == "chaos" {
+            assert!(
+                on.faults.injected() > 0,
+                "the chaos spec must inject faults"
+            );
+        }
         let spans = serve_tracer.snapshot();
         assert!(
             !spans.spans.is_empty(),
-            "pipelined={pipelined}: the armed tracer must record spans"
+            "{label}: the armed tracer must record spans"
         );
         spans.validate().expect("serve trace must be well-formed");
     }
-    println!("tracing armed == disarmed: bit- and cycle-identical at SoC and serve level  ok");
+
+    let pool = |service: ServiceModel, models| PoolProfile { service, models };
+    let profiles = vec![
+        pool(service.clone(), vec![0, 1]),
+        pool(
+            ServiceModel {
+                preload: vec![4_000],
+                fill: vec![4_000],
+                compute: vec![30_000],
+                compute_with: vec![vec![30_000]],
+                preload_done: vec![vec![0]],
+                rewarm: 15_000,
+            },
+            vec![1],
+        ),
+    ];
+    let spec = FleetSpec {
+        pools: vec![
+            PoolSpec {
+                workers: 1,
+                min_workers: 1,
+                max_workers: 4,
+                queue_depth: 4,
+                ..PoolSpec::default()
+            },
+            PoolSpec {
+                workers: 1,
+                min_workers: 1,
+                max_workers: 3,
+                queue_depth: 4,
+                models: Some(vec![1]),
+                ..PoolSpec::default()
+            },
+        ],
+        shape: TrafficShape::FlashCrowd,
+        rate_rps: 1_500,
+        duration_ms: 80,
+        seed: 42,
+        slo_us: 1_500,
+        scale_window_ms: 5,
+        ..FleetSpec::default()
+    };
+    spec.validate(2).expect("gate fleet spec is consistent");
+    let reqs = fleet::shaped_trace(
+        spec.shape,
+        spec.rate_rps,
+        spec.duration_cycles(hz),
+        2,
+        spec.seed,
+        hz,
+    );
+    let fleet_tracer = Tracer::armed();
+    let on = fleet::simulate(&reqs, &profiles, &spec, &names, hz, &fleet_tracer);
+    let off = fleet::simulate(&reqs, &profiles, &spec, &names, hz, &Tracer::disarmed());
+    assert_eq!(on, off, "traced fleet report diverged from untraced");
+    assert!(
+        on.per_pool.iter().any(|p| p.scale_ups > 0),
+        "the flash crowd must move the autoscaler"
+    );
+    let spans = fleet_tracer.snapshot();
+    assert!(
+        !spans.spans.is_empty(),
+        "fleet: the armed tracer must record spans"
+    );
+    spans.validate().expect("fleet trace must be well-formed");
+    println!(
+        "tracing armed == disarmed: bit- and cycle-identical at SoC, serve (serial, pipelined, chaos) and fleet level  ok"
+    );
 }
 
 /// Pseudo-random byte pattern (xorshift; no external deps).

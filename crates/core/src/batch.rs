@@ -44,10 +44,9 @@
 //! Both report per-model cycles, per-frame service latency, arbiter
 //! contention and end-to-end throughput in a [`BatchReport`].
 //!
-//! For host-side scale-out, [`run_parallel`] (and its pipelined twin
-//! [`run_parallel_pipelined`]) shards a frame stream across worker
-//! threads via [`crate::sweep::fan_out`], one SoC replica (with all
-//! models resident) per worker.
+//! For host-side scale-out, [`run_parallel`] shards a frame stream
+//! across worker threads via [`crate::sweep::fan_out`], one SoC replica
+//! (with all models resident) per worker, in either execution model.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -829,15 +828,29 @@ pub struct Frame {
 
 /// Drain `frames` across `threads` SoC replicas, each with every model
 /// in `models` resident, sharding the stream round-robin (frame `i` to
-/// worker `i % threads`) and merging the per-worker reports. Modeled
-/// cycles are shard-independent — each frame is a full in-place reset —
-/// so the merged totals equal a single-SoC drain of the same frames;
-/// only host wall-clock changes with the fan-out.
+/// worker `i % threads`) and merging the per-worker reports.
+///
+/// Serial workers (`pipelined == false`) drain through a
+/// [`BatchScheduler`]: modeled cycles are shard-independent — each frame
+/// is a full in-place reset — so the merged totals equal a single-SoC
+/// drain of the same frames; only host wall-clock changes with the
+/// fan-out. Pipelined workers drain through a [`PipelinedScheduler`],
+/// overlapping every shard-internal preload: output bytes stay
+/// bit-identical to the serial drain, each worker's modeled cycles
+/// reflect its own shard's contention, and the merged makespan keeps
+/// the single-SoC serving semantics (shards summed).
+///
+/// With an armed `tracer`, each shard drains on its own "batch worker
+/// N" sync track (per-frame `preload`/`compute` spans serially; one
+/// `drain` parent per drain wrapping `ps_burst`/`compute` children when
+/// pipelined). Arming the tracer never changes a modeled cycle or
+/// output byte.
 ///
 /// ```
 /// use rvnv_compiler::codegen::CodegenOptions;
 /// use rvnv_compiler::{ArtifactCache, CompileOptions};
 /// use rvnv_nn::{zoo, Tensor};
+/// use rvnv_obs::Tracer;
 /// use rvnv_soc::batch::{layout_models, run_parallel, Frame, Policy};
 /// use rvnv_soc::soc::SocConfig;
 ///
@@ -857,10 +870,12 @@ pub struct Frame {
 /// let report = run_parallel(
 ///     &SocConfig::zcu102_timing_only(),
 ///     Policy::RoundRobin,
+///     false,
 ///     &models,
 ///     CodegenOptions::default(),
 ///     &frames,
 ///     2,
+///     &Tracer::disarmed(),
 /// )?;
 /// assert_eq!(report.total_frames(), 2);
 /// # Ok(())
@@ -874,41 +889,11 @@ pub struct Frame {
 /// # Panics
 ///
 /// Panics if a worker thread panics (propagated by [`fan_out`]).
+#[allow(clippy::too_many_arguments)]
 pub fn run_parallel(
     config: &SocConfig,
     policy: Policy,
-    models: &[Arc<Artifacts>],
-    codegen: CodegenOptions,
-    frames: &[Frame],
-    threads: usize,
-) -> Result<BatchReport, BatchError> {
-    run_parallel_traced(
-        config,
-        policy,
-        models,
-        codegen,
-        frames,
-        threads,
-        &Tracer::disarmed(),
-    )
-}
-
-/// [`run_parallel`], emitting spans into `tracer`: each worker shard
-/// drains on its own "batch worker N" sync track (per-frame
-/// `preload`/`compute` spans on the shard's modeled clock). Arming the
-/// tracer never changes a modeled cycle or output byte.
-///
-/// # Errors
-///
-/// The first worker error, in worker order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (propagated by [`fan_out`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_traced(
-    config: &SocConfig,
-    policy: Policy,
+    pipelined: bool,
     models: &[Arc<Artifacts>],
     codegen: CodegenOptions,
     frames: &[Frame],
@@ -917,16 +902,15 @@ pub fn run_parallel_traced(
 ) -> Result<BatchReport, BatchError> {
     let threads = threads.clamp(1, frames.len().max(1));
     let mut shards = fan_out(threads, threads, |w| -> Result<BatchReport, BatchError> {
-        let mut sched = BatchScheduler::new(config.clone(), policy);
+        let mut sched = Scheduler::new(config, policy, pipelined, models, codegen)?;
         if tracer.is_armed() {
             let track = tracer.track(&format!("batch worker {w}"), TrackKind::Sync);
-            sched.set_tracer(tracer.clone(), track);
-        }
-        for artifacts in models {
-            sched.add_model(artifacts.clone(), codegen)?;
+            sched.serial().set_tracer(tracer.clone(), track);
         }
         for frame in frames.iter().skip(w).step_by(threads) {
-            sched.enqueue_bytes(frame.model, frame.bytes.clone())?;
+            sched
+                .serial()
+                .enqueue_bytes(frame.model, frame.bytes.clone())?;
         }
         sched.run()
     })
@@ -936,6 +920,60 @@ pub fn run_parallel_traced(
         merged.merge(&shard?);
     }
     Ok(merged)
+}
+
+/// A serial or pipelined scheduler chosen at run time: the shared
+/// worker of [`run_parallel`]'s shards and of the serving replays.
+pub(crate) enum Scheduler {
+    Serial(BatchScheduler),
+    Pipelined(PipelinedScheduler),
+}
+
+impl Scheduler {
+    /// A scheduler on a fresh SoC of `config` with every model in
+    /// `models` resident.
+    pub(crate) fn new(
+        config: &SocConfig,
+        policy: Policy,
+        pipelined: bool,
+        models: &[Arc<Artifacts>],
+        codegen: CodegenOptions,
+    ) -> Result<Self, BatchError> {
+        let mut inner = BatchScheduler::new(config.clone(), policy);
+        for artifacts in models {
+            inner.add_model(artifacts.clone(), codegen)?;
+        }
+        Ok(if pipelined {
+            Scheduler::Pipelined(PipelinedScheduler { inner })
+        } else {
+            Scheduler::Serial(inner)
+        })
+    }
+
+    /// The serial scheduler (a pipelined one wraps it) — where frames
+    /// queue and spans are routed.
+    pub(crate) fn serial(&mut self) -> &mut BatchScheduler {
+        match self {
+            Scheduler::Serial(s) => s,
+            Scheduler::Pipelined(p) => &mut p.inner,
+        }
+    }
+
+    /// Drain every queued frame by policy.
+    pub(crate) fn run(&mut self) -> Result<BatchReport, BatchError> {
+        match self {
+            Scheduler::Serial(s) => s.run(),
+            Scheduler::Pipelined(p) => p.run(),
+        }
+    }
+
+    /// Drain the frames `seq` names, in that order.
+    pub(crate) fn run_sequence(&mut self, seq: &[usize]) -> Result<BatchReport, BatchError> {
+        match self {
+            Scheduler::Serial(s) => s.run_sequence(seq),
+            Scheduler::Pipelined(p) => p.run_sequence(seq),
+        }
+    }
 }
 
 /// The double-buffered input layout for a pipelined drain over
@@ -1359,83 +1397,4 @@ impl PipelinedScheduler {
         let mut order = seq.iter().copied();
         self.drain_with(move |_, _| order.next(), |_, _| {})
     }
-}
-
-/// [`run_parallel`] with **pipelined** workers: each worker SoC replica
-/// drains its shard through a [`PipelinedScheduler`], overlapping every
-/// shard-internal preload. Output bytes stay bit-identical to the
-/// serial drain; each worker's modeled cycles reflect its own shard's
-/// contention, and the merged makespan keeps the single-SoC serving
-/// semantics (shards summed).
-///
-/// # Errors
-///
-/// The first worker error, in worker order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (propagated by [`fan_out`]).
-pub fn run_parallel_pipelined(
-    config: &SocConfig,
-    policy: Policy,
-    models: &[Arc<Artifacts>],
-    codegen: CodegenOptions,
-    frames: &[Frame],
-    threads: usize,
-) -> Result<BatchReport, BatchError> {
-    run_parallel_pipelined_traced(
-        config,
-        policy,
-        models,
-        codegen,
-        frames,
-        threads,
-        &Tracer::disarmed(),
-    )
-}
-
-/// [`run_parallel_pipelined`], emitting spans into `tracer`: each
-/// worker shard drains on its own "batch worker N" sync track, with one
-/// `drain` parent span per drain wrapping the `ps_burst` fill and the
-/// per-frame `compute`/`ps_burst` pipeline children. Arming the tracer
-/// never changes a modeled cycle or output byte.
-///
-/// # Errors
-///
-/// The first worker error, in worker order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (propagated by [`fan_out`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_pipelined_traced(
-    config: &SocConfig,
-    policy: Policy,
-    models: &[Arc<Artifacts>],
-    codegen: CodegenOptions,
-    frames: &[Frame],
-    threads: usize,
-    tracer: &Tracer,
-) -> Result<BatchReport, BatchError> {
-    let threads = threads.clamp(1, frames.len().max(1));
-    let mut shards = fan_out(threads, threads, |w| -> Result<BatchReport, BatchError> {
-        let mut sched = PipelinedScheduler::new(config.clone(), policy);
-        if tracer.is_armed() {
-            let track = tracer.track(&format!("batch worker {w}"), TrackKind::Sync);
-            sched.set_tracer(tracer.clone(), track);
-        }
-        for artifacts in models {
-            sched.add_model(artifacts.clone(), codegen)?;
-        }
-        for frame in frames.iter().skip(w).step_by(threads) {
-            sched.enqueue_bytes(frame.model, frame.bytes.clone())?;
-        }
-        sched.run()
-    })
-    .into_iter();
-    let mut merged = shards.next().expect("at least one worker")?;
-    for shard in shards {
-        merged.merge(&shard?);
-    }
-    Ok(merged)
 }

@@ -53,7 +53,6 @@
 //! See `docs/FLEET.md` for the flag grammar, the autoscaler control
 //! loop and how to read the capacity-planning output.
 
-use std::collections::VecDeque;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,12 +65,10 @@ use rvnv_nn::graph::Network;
 use rvnv_nvdla::HwConfig;
 use rvnv_obs::{Json, MetricsRegistry, SpanKind, Tracer, TrackId, TrackKind};
 
-use crate::batch::{layout_models, Policy};
-use crate::serve::{
-    replay_sequences, LatencyStats, Request, RequestTrace, ServeError, ServiceModel,
-};
+use crate::batch::layout_models;
+use crate::pool::{replay, Dispatch, Order, Pool, PoolSetup, ReplayJob, Samples};
+use crate::serve::{LatencyStats, Request, RequestTrace, ServeError, ServiceModel};
 use crate::soc::SocConfig;
-use crate::sweep::fan_out;
 
 /// Number of equal-length slices the rate envelope is sampled over.
 const SHAPE_SLICES: u64 = 64;
@@ -882,143 +879,48 @@ impl FleetReport {
     }
 }
 
-/// Event-driven state of one simulated pool.
-struct SimPool<'a> {
+/// One fleet pool: the shared queueing core plus what only the fleet
+/// adds — routing credit, the autoscaler's rolling SLO window and its
+/// size envelope.
+struct FleetPool<'a> {
+    pool: Pool<'a>,
     profile: &'a PoolProfile,
     spec: &'a PoolSpec,
-    /// Completion cycle of each active worker's in-flight frame
-    /// (`<= now` means idle).
-    active: Vec<u64>,
-    /// FIFO of admitted, undispatched request indices.
-    queue: VecDeque<usize>,
+    /// The autoscaler may move this pool (`max_workers > min_workers`).
+    autoscaled: bool,
     /// Rolling SLO events `(cycle, met)` for the autoscaler window.
     window: Vec<(u64, bool)>,
-    /// Request indices in dispatch order (the spot-replay source).
-    dispatched: Vec<usize>,
+    /// Dispatch-log entries already folded into `window`.
+    windowed: usize,
     /// Smooth weighted-round-robin credit.
     credit: i64,
     mean_svc: u64,
     routed: u64,
-    busy: u64,
+    dropped: u64,
     low: usize,
     high: usize,
     ups: u64,
     downs: u64,
-    /// Span-emission state; inert (empty / [`TrackId::NONE`]) when the
-    /// tracer is disarmed. `tracks` stays parallel to `active` — worker
-    /// identities survive autoscaler churn via `serial`, so a departed
-    /// worker's track is never reused.
-    prefix: String,
-    tracks: Vec<TrackId>,
-    serial: usize,
-    queue_track: TrackId,
     auto_track: TrackId,
 }
 
-/// Span-emission context shared by every pool: the tracer handle plus
-/// the global model names used as span labels.
-struct FleetTrace<'a> {
-    tracer: &'a Tracer,
-    names: &'a [String],
-}
-
-impl SimPool<'_> {
-    /// Register a sync track for one new worker, named by the pool
-    /// prefix and a never-reused serial number.
-    fn push_track(&mut self, tracer: &Tracer) {
-        let id = tracer.track(
-            &format!("{} w{}", self.prefix, self.serial),
-            TrackKind::Sync,
-        );
-        self.serial += 1;
-        self.tracks.push(id);
-    }
-
-    /// Dispatch queued requests into workers becoming free up to
-    /// `until`.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &mut self,
-        pool_idx: usize,
-        records: &mut [FleetRecord],
-        until: u64,
-        slo_cycles: u64,
-        track_window: bool,
-        tr: &FleetTrace<'_>,
-    ) {
-        while !self.queue.is_empty() {
-            let mut wi = 0;
-            for (i, &f) in self.active.iter().enumerate() {
-                if f < self.active[wi] {
-                    wi = i;
-                }
-            }
-            let free_at = self.active[wi];
-            if free_at > until {
-                break;
-            }
-            let req = self.queue.pop_front().expect("nonempty queue");
-            let rec = &mut records[req];
-            let lm = self
-                .profile
-                .local(rec.model)
-                .expect("balancer routed to a resident pool");
-            let svc = self.profile.service.preload[lm] + self.profile.service.compute[lm];
-            let start = free_at.max(rec.arrival);
-            let completion = start + svc;
-            let wait = start - rec.arrival;
-            if tr.tracer.is_armed() {
-                let name = &tr.names[rec.model];
-                if wait > 0 {
-                    tr.tracer.span(
-                        self.queue_track,
-                        SpanKind::QueueWait,
-                        rec.arrival,
-                        start,
-                        &format!("req {req}"),
-                    );
-                }
-                let preload = self.profile.service.preload[lm];
-                tr.tracer.span(
-                    self.tracks[wi],
-                    SpanKind::Preload,
-                    start,
-                    start + preload,
-                    name,
-                );
-                tr.tracer.span(
-                    self.tracks[wi],
-                    SpanKind::Compute,
-                    start + preload,
-                    completion,
-                    name,
-                );
-            }
-            rec.outcome = FleetOutcome::Served {
-                pool: pool_idx,
-                queue_wait: wait,
-                service: svc,
-                completion,
-            };
-            self.active[wi] = completion;
-            self.busy += svc;
-            if track_window {
-                self.window.push((completion, wait + svc <= slo_cycles));
-            }
-            self.dispatched.push(req);
-        }
-    }
-
-    /// One autoscaler evaluation at boundary cycle `b`.
+impl FleetPool<'_> {
+    /// One autoscaler evaluation at boundary cycle `b`, after the pool
+    /// advanced to `b`.
     fn autoscale(
         &mut self,
         b: u64,
         window_cycles: u64,
-        scale_up_below: u32,
-        scale_down_above: u32,
-        tr: &FleetTrace<'_>,
+        spec: &FleetSpec,
+        slo_cycles: u64,
+        tracer: &Tracer,
     ) {
-        self.window.retain(|&(c, _)| c + window_cycles > b);
+        for d in &self.pool.log[self.windowed..] {
+            self.window.push((d.completion, d.total() <= slo_cycles));
+        }
+        self.windowed = self.pool.log.len();
+        self.window
+            .retain(|&(c, _)| c.saturating_add(window_cycles) > b);
         let mut met = 0u64;
         let mut total = 0u64;
         for &(c, ok) in &self.window {
@@ -1030,65 +932,42 @@ impl SimPool<'_> {
         if total == 0 {
             return;
         }
-        if met * 100 < u64::from(scale_up_below) * total {
-            if self.active.len() < self.spec.max_workers {
+        let workers = self.pool.workers.len();
+        if met * 100 < u64::from(spec.scale_up_below) * total {
+            if workers < self.spec.max_workers {
                 // A new worker is warm capacity only after the re-warm
                 // charge: every resident weight image streams back in.
-                self.active.push(b + self.profile.service.rewarm);
-                self.busy += self.profile.service.rewarm;
+                let rewarm = self.profile.service.rewarm;
+                self.pool.add_worker(b, b.saturating_add(rewarm));
                 self.ups += 1;
-                self.high = self.high.max(self.active.len());
-                if tr.tracer.is_armed() {
-                    self.push_track(tr.tracer);
-                    let track = *self.tracks.last().expect("just pushed");
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Rewarm,
-                        b,
-                        b + self.profile.service.rewarm,
-                        "scale-up",
-                    );
-                    tr.tracer
-                        .instant(self.auto_track, SpanKind::Autoscale, b, "up");
-                }
+                self.high = self.high.max(workers + 1);
+                tracer.instant(self.auto_track, SpanKind::Autoscale, b, "up");
             }
-        } else if met * 100 > u64::from(scale_down_above) * total
-            && self.active.len() > self.spec.min_workers
+        } else if met * 100 > u64::from(spec.scale_down_above) * total
+            && workers > self.spec.min_workers
         {
-            // Drain the most-loaded worker: it finishes its in-flight
-            // frame (already accounted at dispatch) and leaves.
-            let mut victim = 0;
-            for (i, &f) in self.active.iter().enumerate() {
-                if f > self.active[victim] {
-                    victim = i;
-                }
-            }
-            self.active.remove(victim);
+            self.pool.retire_busiest();
             self.downs += 1;
-            self.low = self.low.min(self.active.len());
-            if tr.tracer.is_armed() {
-                self.tracks.remove(victim);
-                tr.tracer
-                    .instant(self.auto_track, SpanKind::Autoscale, b, "down");
-            }
+            self.low = self.low.min(workers - 1);
+            tracer.instant(self.auto_track, SpanKind::Autoscale, b, "down");
         }
     }
 
-    /// Workers currently busy at `now` plus the queued backlog.
+    /// Workers busy at `now` plus the queued backlog.
     fn load(&self, now: u64) -> u64 {
-        let busy = self.active.iter().filter(|&&f| f > now).count();
-        busy as u64 + self.queue.len() as u64
+        let busy = self.pool.workers.iter().filter(|w| w.free_at > now).count();
+        (busy + self.pool.queued()) as u64
     }
 
     /// The balancer's estimate of a new arrival's queue wait.
     fn est_wait(&self, now: u64) -> u64 {
-        self.load(now) * self.mean_svc / self.active.len().max(1) as u64
+        self.load(now) * self.mean_svc / self.pool.workers.len().max(1) as u64
     }
 }
 
 /// Pick a pool among `cands` (indices into `pools`, all with the
 /// request's model resident) under `route`.
-fn route_pick(route: RoutePolicy, cands: &[usize], pools: &mut [SimPool<'_>], now: u64) -> usize {
+fn route_pick(route: RoutePolicy, cands: &[usize], pools: &mut [FleetPool<'_>], now: u64) -> usize {
     debug_assert!(!cands.is_empty());
     match route {
         RoutePolicy::Weighted => {
@@ -1122,11 +1001,11 @@ fn route_pick(route: RoutePolicy, cands: &[usize], pools: &mut [SimPool<'_>], no
 
 /// The candidate with the lowest backlog per active worker
 /// (cross-multiplied to stay in integers), ties to the lowest index.
-fn least_loaded(cands: &[usize], pools: &[SimPool<'_>], now: u64) -> usize {
+fn least_loaded(cands: &[usize], pools: &[FleetPool<'_>], now: u64) -> usize {
     let mut pick = cands[0];
     for &c in &cands[1..] {
-        let (lc, ac) = (pools[c].load(now), pools[c].active.len() as u64);
-        let (lp, ap) = (pools[pick].load(now), pools[pick].active.len() as u64);
+        let (lc, ac) = (pools[c].load(now), pools[c].pool.workers.len() as u64);
+        let (lp, ap) = (pools[pick].load(now), pools[pick].pool.workers.len() as u64);
         if lc * ap < lp * ac {
             pick = c;
         }
@@ -1134,12 +1013,11 @@ fn least_loaded(cands: &[usize], pools: &[SimPool<'_>], now: u64) -> usize {
     pick
 }
 
-/// Run the fleet queueing system over `trace` in modeled time and
-/// build the report plus per-pool dispatch orders. Pure: no SoC is
-/// touched (the property tests drive this with synthetic profiles).
-/// Spans land in `tracer` (disarmed in the plain [`simulate`] path);
-/// emission only records values this function computed anyway, keeping
-/// the traced run bit- and cycle-identical to the untraced one.
+/// Run the fleet over `trace` in modeled time: N [`Pool`]s behind the
+/// balancer. Returns the report plus each pool's dispatch log (the
+/// spot-replay source). Spans land in `tracer`; emission only records
+/// values computed anyway, keeping the traced run bit- and
+/// cycle-identical to the untraced one.
 fn simulate_plan(
     trace: &RequestTrace,
     profiles: &[PoolProfile],
@@ -1147,7 +1025,7 @@ fn simulate_plan(
     names: &[String],
     soc_hz: u64,
     tracer: &Tracer,
-) -> (FleetReport, Vec<Vec<usize>>) {
+) -> (FleetReport, Vec<Vec<Dispatch>>) {
     assert_eq!(
         profiles.len(),
         spec.pools.len(),
@@ -1159,43 +1037,43 @@ fn simulate_plan(
         .scale_window_ms
         .saturating_mul((soc_hz / 1000).max(1))
         .max(1);
-    let autoscaling = spec.pools.iter().any(|p| p.max_workers > p.min_workers);
-    let mut pools: Vec<SimPool<'_>> = profiles
+    let mut pools: Vec<FleetPool<'_>> = profiles
         .iter()
         .zip(&spec.pools)
-        .map(|(profile, pspec)| SimPool {
-            profile,
-            spec: pspec,
-            active: vec![0u64; pspec.workers],
-            queue: VecDeque::new(),
-            window: Vec::new(),
-            dispatched: Vec::new(),
-            credit: 0,
-            mean_svc: profile.mean_svc(),
-            routed: 0,
-            busy: 0,
-            low: pspec.workers,
-            high: pspec.workers,
-            ups: 0,
-            downs: 0,
-            prefix: String::new(),
-            tracks: Vec::new(),
-            serial: 0,
-            queue_track: TrackId::NONE,
-            auto_track: TrackId::NONE,
+        .enumerate()
+        .map(|(p, (profile, pspec))| {
+            let prefix = format!("pool{p} {}", pspec.class.name());
+            let setup = PoolSetup {
+                service: &profile.service,
+                order: Order::Fifo,
+                pipelined: false,
+                workers: pspec.workers,
+                queue_depth: pspec.queue_depth,
+                chaos: None,
+                labels: profile.models.iter().map(|&g| names[g].as_str()).collect(),
+                worker_track: format!("{prefix} w"),
+                queue_track: format!("{prefix} queue"),
+            };
+            FleetPool {
+                pool: Pool::new(setup, &trace.requests, tracer),
+                profile,
+                spec: pspec,
+                autoscaled: pspec.max_workers > pspec.min_workers,
+                window: Vec::new(),
+                windowed: 0,
+                credit: 0,
+                mean_svc: profile.mean_svc(),
+                routed: 0,
+                dropped: 0,
+                low: pspec.workers,
+                high: pspec.workers,
+                ups: 0,
+                downs: 0,
+                auto_track: tracer.track(&format!("{prefix} autoscaler"), TrackKind::Sync),
+            }
         })
         .collect();
-    let tr = FleetTrace { tracer, names };
-    if tracer.is_armed() {
-        for (p, pool) in pools.iter_mut().enumerate() {
-            pool.prefix = format!("pool{p} {}", pool.spec.class.name());
-            pool.queue_track = tracer.track(&format!("{} queue", pool.prefix), TrackKind::Async);
-            pool.auto_track = tracer.track(&format!("{} autoscaler", pool.prefix), TrackKind::Sync);
-            for _ in 0..pool.spec.workers {
-                pool.push_track(tracer);
-            }
-        }
-    }
+    let autoscaling = pools.iter().any(|p| p.autoscaled);
     // Candidate pools per global model — routing is *structurally*
     // restricted to pools with the model resident.
     let candidates: Vec<Vec<usize>> = (0..names.len())
@@ -1220,20 +1098,14 @@ fn simulate_plan(
     for (i, r) in trace.requests.iter().enumerate() {
         // Autoscaler boundaries strictly before this arrival.
         while autoscaling && next_eval <= r.arrival {
-            for (p, pool) in pools.iter_mut().enumerate() {
-                pool.advance(p, &mut records, next_eval, slo_cycles, true, &tr);
-                pool.autoscale(
-                    next_eval,
-                    window_cycles,
-                    spec.scale_up_below,
-                    spec.scale_down_above,
-                    &tr,
-                );
+            for pool in pools.iter_mut().filter(|p| p.autoscaled) {
+                pool.pool.advance(next_eval);
+                pool.autoscale(next_eval, window_cycles, spec, slo_cycles, tracer);
             }
-            next_eval += window_cycles;
+            next_eval = next_eval.saturating_add(window_cycles);
         }
-        for (p, pool) in pools.iter_mut().enumerate() {
-            pool.advance(p, &mut records, r.arrival, slo_cycles, autoscaling, &tr);
+        for pool in &mut pools {
+            pool.pool.advance(r.arrival);
         }
         let cands = &candidates[r.model];
         assert!(
@@ -1241,91 +1113,70 @@ fn simulate_plan(
             "model {} resident in no pool (FleetSpec::validate must run first)",
             r.model
         );
+        let hopeless = SHED_SLOS.saturating_mul(slo_cycles);
         if cands
             .iter()
-            .all(|&p| pools[p].est_wait(r.arrival) > SHED_SLOS * slo_cycles)
+            .all(|&p| pools[p].est_wait(r.arrival) > hopeless)
         {
             shed += 1;
             continue; // records[i] already says Shed
         }
         let p = route_pick(spec.route, cands, &mut pools, r.arrival);
-        pools[p].routed += 1;
-        if pools[p].queue.len() < pools[p].spec.queue_depth {
-            pools[p].queue.push_back(i);
-            pools[p].advance(p, &mut records, r.arrival, slo_cycles, autoscaling, &tr);
-        } else {
+        let pool = &mut pools[p];
+        pool.routed += 1;
+        let local = pool
+            .profile
+            .local(r.model)
+            .expect("routed to a resident pool");
+        if !pool.pool.admit(i, local, r.arrival) {
             records[i].outcome = FleetOutcome::Dropped { pool: p };
-            if autoscaling {
-                pools[p].window.push((r.arrival, false));
+            pool.dropped += 1;
+            if pool.autoscaled {
+                pool.window.push((r.arrival, false));
             }
         }
     }
     // Drain: no arrivals remain, so the autoscaler holds its size.
-    for (p, pool) in pools.iter_mut().enumerate() {
-        pool.advance(p, &mut records, u64::MAX, slo_cycles, false, &tr);
+    for pool in &mut pools {
+        pool.pool.advance(u64::MAX);
     }
 
-    // Aggregate.
-    let mut waits = Vec::new();
-    let mut services = Vec::new();
-    let mut totals = Vec::new();
-    let mut makespan = 0u64;
-    let mut slo_attained = 0u64;
-    let mut pool_waits: Vec<Vec<u64>> = vec![Vec::new(); pools.len()];
-    let mut pool_services: Vec<Vec<u64>> = vec![Vec::new(); pools.len()];
-    let mut pool_totals: Vec<Vec<u64>> = vec![Vec::new(); pools.len()];
-    let mut pool_served = vec![0u64; pools.len()];
-    let mut pool_dropped = vec![0u64; pools.len()];
-    let mut pool_slo = vec![0u64; pools.len()];
-    for rec in &records {
-        match rec.outcome {
-            FleetOutcome::Served {
-                pool,
-                queue_wait,
-                service,
-                completion,
-            } => {
-                let total = queue_wait + service;
-                waits.push(queue_wait);
-                services.push(service);
-                totals.push(total);
-                makespan = makespan.max(completion);
-                pool_served[pool] += 1;
-                pool_waits[pool].push(queue_wait);
-                pool_services[pool].push(service);
-                pool_totals[pool].push(total);
-                if total <= slo_cycles {
-                    slo_attained += 1;
-                    pool_slo[pool] += 1;
-                }
-            }
-            FleetOutcome::Dropped { pool } => pool_dropped[pool] += 1,
-            FleetOutcome::Shed => {}
+    let mut all = Samples::default();
+    let mut per_pool = Vec::with_capacity(pools.len());
+    let mut logs = Vec::with_capacity(pools.len());
+    for (p, pool) in pools.into_iter().enumerate() {
+        let mut served = Samples::default();
+        for d in &pool.pool.log {
+            records[d.request].outcome = FleetOutcome::Served {
+                pool: p,
+                queue_wait: d.queue_wait,
+                service: d.service,
+                completion: d.completion,
+            };
+            all.add(d, slo_cycles);
+            served.add(d, slo_cycles);
         }
-    }
-    let per_pool: Vec<PoolReport> = pools
-        .iter()
-        .enumerate()
-        .map(|(p, pool)| PoolReport {
+        per_pool.push(PoolReport {
             class: pool.spec.class,
             models: pool.profile.models.clone(),
             workers_start: pool.spec.workers,
             workers_low: pool.low,
             workers_high: pool.high,
-            workers_final: pool.active.len(),
+            workers_final: pool.pool.workers.len(),
             scale_ups: pool.ups,
             scale_downs: pool.downs,
             routed: pool.routed,
-            served: pool_served[p],
-            dropped: pool_dropped[p],
-            busy_cycles: pool.busy,
-            queue_wait: LatencyStats::from_samples(&mut pool_waits[p]),
-            service: LatencyStats::from_samples(&mut pool_services[p]),
-            total: LatencyStats::from_samples(&mut pool_totals[p]),
-            slo_attained: pool_slo[p],
-        })
-        .collect();
-    let served = totals.len() as u64;
+            served: served.served(),
+            dropped: pool.dropped,
+            busy_cycles: served.service.iter().sum::<u64>()
+                + pool.ups * pool.profile.service.rewarm,
+            queue_wait: LatencyStats::from_samples(&mut served.queue_wait),
+            service: LatencyStats::from_samples(&mut served.service),
+            total: LatencyStats::from_samples(&mut served.total),
+            slo_attained: served.slo_attained,
+        });
+        logs.push(pool.pool.log);
+    }
     let report = FleetReport {
         route: spec.route,
         shape: spec.shape,
@@ -1335,27 +1186,35 @@ fn simulate_plan(
         duration_cycles: trace.duration,
         slo_cycles,
         offered: records.len() as u64,
-        served,
-        dropped: pool_dropped.iter().sum(),
+        served: all.served(),
+        dropped: per_pool.iter().map(|p| p.dropped).sum(),
         shed,
-        makespan_cycles: makespan,
-        queue_wait: LatencyStats::from_samples(&mut waits),
-        service: LatencyStats::from_samples(&mut services),
-        total: LatencyStats::from_samples(&mut totals),
+        makespan_cycles: all.makespan,
+        queue_wait: LatencyStats::from_samples(&mut all.queue_wait),
+        service: LatencyStats::from_samples(&mut all.service),
+        total: LatencyStats::from_samples(&mut all.total),
         per_pool,
-        slo_attained,
+        slo_attained: all.slo_attained,
         records,
         replay_divergence: 0,
         replayed_frames: 0,
         host_seconds: 0.0,
     };
-    let dispatched = pools.into_iter().map(|p| p.dispatched).collect();
-    (report, dispatched)
+    (report, logs)
 }
 
 /// Simulate a fleet trace against pool profiles without touching a SoC
 /// — the planning half of [`Fleet::run`], exposed for sweeps and
 /// property tests (synthetic [`PoolProfile`]s welcome).
+///
+/// Spans land in `tracer` ([`Tracer::disarmed`] for none): per pool,
+/// one sync track per worker ("poolN CLASS wK" — serial numbers survive
+/// autoscaler churn) carrying `preload`/`compute`/`rewarm` spans whose
+/// top-level cycles sum to the pool's `busy_cycles`, an async "poolN
+/// CLASS queue" track whose `queue_wait` spans sum to the pool's
+/// queue-wait total, and a "poolN CLASS autoscaler" track of instant
+/// `autoscale` markers. Arming the tracer is observationally free: the
+/// report is byte-identical either way (proptested).
 ///
 /// # Panics
 ///
@@ -1364,29 +1223,6 @@ fn simulate_plan(
 /// (run [`FleetSpec::validate`] first).
 #[must_use]
 pub fn simulate(
-    trace: &RequestTrace,
-    profiles: &[PoolProfile],
-    spec: &FleetSpec,
-    names: &[String],
-    soc_hz: u64,
-) -> FleetReport {
-    simulate_plan(trace, profiles, spec, names, soc_hz, &Tracer::disarmed()).0
-}
-
-/// [`simulate`], emitting spans into `tracer`: per pool, one sync track
-/// per worker ("poolN CLASS wK" — serial numbers survive autoscaler
-/// churn) carrying `preload`/`compute`/`rewarm` spans whose top-level
-/// cycles sum to the pool's `busy_cycles`, an async "poolN CLASS queue"
-/// track whose `queue_wait` spans sum to the pool's queue-wait total,
-/// and a "poolN CLASS autoscaler" track of instant `autoscale` markers.
-/// Arming the tracer is observationally free: the report is
-/// byte-identical to [`simulate`]'s (proptested).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate`].
-#[must_use]
-pub fn simulate_traced(
     trace: &RequestTrace,
     profiles: &[PoolProfile],
     spec: &FleetSpec,
@@ -1569,7 +1405,7 @@ impl Fleet {
     }
 
     /// [`Fleet::plan`], emitting spans into `tracer` (see
-    /// [`simulate_traced`] for the track layout and the bit-identity
+    /// [`simulate`] for the track layout and the bit-identity
     /// contract).
     ///
     /// # Errors
@@ -1607,13 +1443,14 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if a replay thread panics (propagated by [`fan_out`]).
+    /// Panics if a replay thread panics (propagated by
+    /// [`fan_out`](crate::sweep::fan_out)).
     pub fn run(&self, spec: &FleetSpec) -> Result<FleetReport, ServeError> {
         self.run_traced(spec, &Tracer::disarmed())
     }
 
     /// [`Fleet::run`], emitting spans into `tracer` (see
-    /// [`simulate_traced`] for the track layout and the bit-identity
+    /// [`simulate`] for the track layout and the bit-identity
     /// contract). Only the planning half emits — the spot-replay is a
     /// cross-check of the very cycles the plan's spans already carry.
     ///
@@ -1625,23 +1462,24 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if a replay thread panics (propagated by [`fan_out`]).
+    /// Panics if a replay thread panics (propagated by
+    /// [`fan_out`](crate::sweep::fan_out)).
     pub fn run_traced(&self, spec: &FleetSpec, tracer: &Tracer) -> Result<FleetReport, ServeError> {
         self.check_spec(spec)?;
         let start = Instant::now();
         let trace = self.trace(spec);
         let profiles: Vec<PoolProfile> = self.pools.iter().map(|p| p.profile.clone()).collect();
-        let (mut report, dispatched) =
+        let (mut report, logs) =
             simulate_plan(&trace, &profiles, spec, &self.names, self.soc_hz, tracer);
         // Sample K evenly-spaced windows of W consecutive dispatches
         // per pool (fewer when a pool dispatched less than that).
-        let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-        for (p, disp) in dispatched.iter().enumerate() {
-            if disp.is_empty() {
+        let mut jobs = Vec::new();
+        for (rt, log) in self.pools.iter().zip(&logs) {
+            if log.is_empty() {
                 continue;
             }
-            let w = spec.window_frames.min(disp.len());
-            let span = disp.len() - w;
+            let w = spec.window_frames.min(log.len());
+            let span = log.len() - w;
             let mut prev = None;
             for j in 0..spec.spot_windows {
                 let s = if spec.spot_windows == 1 {
@@ -1653,66 +1491,14 @@ impl Fleet {
                     continue;
                 }
                 prev = Some(s);
-                jobs.push((p, s, w));
+                jobs.push(ReplayJob {
+                    config: &rt.config,
+                    artifacts: &rt.artifacts,
+                    bursts: vec![log[s..s + w].to_vec()],
+                });
             }
         }
-        let input_for = |pool: usize, lm: usize, request: usize| -> Vec<u8> {
-            let mut rng = StdRng::seed_from_u64(spec.seed ^ (0x5EED << 16) ^ request as u64);
-            (0..self.pools[pool].artifacts[lm].input_len)
-                .map(|_| rng.gen_range(0u8..=255))
-                .collect()
-        };
-        let measured = fan_out(jobs.len(), jobs.len(), |j| {
-            let (p, s, w) = jobs[j];
-            let rt = &self.pools[p];
-            let window = &dispatched[p][s..s + w];
-            let seq: Vec<usize> = window
-                .iter()
-                .map(|&req| {
-                    rt.profile
-                        .local(trace.requests[req].model)
-                        .expect("dispatched means resident")
-                })
-                .collect();
-            let frames: Vec<(usize, Vec<u8>)> = seq
-                .iter()
-                .zip(window)
-                .map(|(&lm, &req)| (lm, input_for(p, lm, req)))
-                .collect();
-            replay_sequences(
-                &rt.config,
-                &rt.artifacts,
-                self.codegen,
-                Policy::RoundRobin,
-                false,
-                std::slice::from_ref(&seq),
-                frames,
-            )
-        });
-        let mut divergence = 0u64;
-        let mut replayed = 0u64;
-        for (j, run) in measured.into_iter().enumerate() {
-            let latencies = run?;
-            let (p, s, w) = jobs[j];
-            let rt = &self.pools[p];
-            replayed += w as u64;
-            let predicted: Vec<u64> = dispatched[p][s..s + w]
-                .iter()
-                .map(|&req| {
-                    let lm = rt
-                        .profile
-                        .local(trace.requests[req].model)
-                        .expect("dispatched means resident");
-                    rt.profile.service.preload[lm] + rt.profile.service.compute[lm]
-                })
-                .collect();
-            divergence += predicted
-                .iter()
-                .zip(&latencies)
-                .filter(|(a, b)| a != b)
-                .count() as u64;
-            divergence += predicted.len().abs_diff(latencies.len()) as u64;
-        }
+        let (divergence, replayed) = replay(&jobs, self.codegen, false, spec.seed)?;
         report.replay_divergence = divergence;
         report.replayed_frames = replayed;
         report.host_seconds = start.elapsed().as_secs_f64();
@@ -1938,7 +1724,7 @@ mod tests {
             },
         ]);
         let t = shaped_trace(TrafficShape::Bursty, 100_000, HZ / 100, 2, 1, HZ);
-        let r = simulate(&t, &profiles, &spec, &names(2), HZ);
+        let r = simulate(&t, &profiles, &spec, &names(2), HZ, &Tracer::disarmed());
         assert_eq!(r.offered, t.requests.len() as u64);
         assert_eq!(r.served + r.dropped + r.shed, r.offered, "conservation");
         assert!(r.dropped > 0, "overload must drop");
@@ -1972,7 +1758,7 @@ mod tests {
             ])
         };
         let t = shaped_trace(TrafficShape::Steady, 1_000, HZ / 10, 1, 5, HZ);
-        let r = simulate(&t, &profiles, &spec, &names(1), HZ);
+        let r = simulate(&t, &profiles, &spec, &names(1), HZ, &Tracer::disarmed());
         let (a, b) = (r.per_pool[0].routed, r.per_pool[1].routed);
         assert!(a + b > 50, "trace must offer real load");
         // 3:1 weights -> pool 0 takes ~75%.
@@ -2003,7 +1789,7 @@ mod tests {
             ])
         };
         let t = shaped_trace(TrafficShape::Steady, 2_000, HZ / 10, 2, 11, HZ);
-        let r = simulate(&t, &profiles, &spec, &names(2), HZ);
+        let r = simulate(&t, &profiles, &spec, &names(2), HZ, &Tracer::disarmed());
         for rec in &r.records {
             let pool = match rec.outcome {
                 FleetOutcome::Served { pool, .. } | FleetOutcome::Dropped { pool } => pool,
@@ -2046,7 +1832,7 @@ mod tests {
             3,
             HZ,
         );
-        let r = simulate(&t, &profiles, &spec, &names(1), HZ);
+        let r = simulate(&t, &profiles, &spec, &names(1), HZ, &Tracer::disarmed());
         let p = &r.per_pool[0];
         assert!(p.scale_ups > 0, "the flash crowd must trigger scale-up");
         assert!(p.workers_high > 1, "the pool must actually grow");
@@ -2056,7 +1842,7 @@ mod tests {
             "the calm after the spike must drain workers"
         );
         // Bit-identical replay of the whole report.
-        let again = simulate(&t, &profiles, &spec, &names(1), HZ);
+        let again = simulate(&t, &profiles, &spec, &names(1), HZ, &Tracer::disarmed());
         assert_eq!(r, again, "seeded fleet runs replay bit-identically");
     }
 
@@ -2073,7 +1859,7 @@ mod tests {
             }])
         };
         let t = shaped_trace(TrafficShape::Steady, 10_000, HZ / 100, 1, 2, HZ);
-        let r = simulate(&t, &profiles, &spec, &names(1), HZ);
+        let r = simulate(&t, &profiles, &spec, &names(1), HZ, &Tracer::disarmed());
         assert!(r.shed > 0, "hopeless queues must shed");
         assert_eq!(r.served + r.dropped + r.shed, r.offered);
     }

@@ -48,6 +48,7 @@ pub mod baseline;
 pub mod batch;
 pub mod firmware;
 pub mod fleet;
+mod pool;
 pub mod profile;
 pub mod resources;
 pub mod serve;

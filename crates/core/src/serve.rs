@@ -22,7 +22,8 @@
 //!    **serial** worker mode (each frame pays its quiet input preload,
 //!    then computes) or the **pipelined** one (the next request's input
 //!    streams behind the current frame's compute and contends at the
-//!    DRAM arbiter, exactly as in [`PipelinedScheduler`]).
+//!    DRAM arbiter, exactly as in
+//!    [`PipelinedScheduler`](crate::batch::PipelinedScheduler)).
 //!
 //! # Calibrate → simulate → replay
 //!
@@ -63,7 +64,6 @@
 //! (dropped requests count as SLO misses). See `docs/SERVING.md` for
 //! the queueing model and how to read the rate-vs-p99 hockey stick.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -74,13 +74,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rvnv_compiler::codegen::CodegenOptions;
 use rvnv_compiler::Artifacts;
-use rvnv_obs::{Json, MetricsRegistry, SpanKind, Tracer, TrackId, TrackKind};
-use rvnv_util::mix64;
+use rvnv_obs::{Json, MetricsRegistry, Tracer};
 
-use crate::batch::{input_slots, BatchError, BatchScheduler, PipelinedScheduler, Policy};
+use crate::batch::{input_slots, BatchError, Policy};
 use crate::firmware::Firmware;
+use crate::pool::{replay, Chaos, Dispatch, Order, Pool, PoolSetup, ReplayJob, Samples};
 use crate::soc::{Soc, SocConfig};
-use crate::sweep::fan_out;
 
 /// How request arrivals are spaced in modeled time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -890,7 +889,7 @@ impl ServeReport {
             {
                 metrics.histogram("serve.queue_wait_cycles", queue_wait);
                 metrics.histogram("serve.service_cycles", service);
-                metrics.histogram("serve.total_cycles", queue_wait + service);
+                metrics.histogram("serve.total_cycles", queue_wait.saturating_add(service));
             }
         }
     }
@@ -993,236 +992,10 @@ impl ServeReport {
     }
 }
 
-/// One planned frame of a worker burst: which request, and the modeled
-/// per-frame latency ([`crate::batch::FrameLatency`] semantics) the
-/// replay must reproduce.
-#[derive(Debug, Clone, Copy)]
-struct PlannedFrame {
-    request: usize,
-    predicted: u64,
-}
-
-/// A worker's dispatch plan: bursts of frames. In the pipelined mode a
-/// burst is a maximal chain of overlap-staged frames (one pipeline
-/// fill each); a serial worker has one burst holding every frame.
-#[derive(Debug, Clone, Default)]
-struct WorkerPlan {
-    bursts: Vec<Vec<PlannedFrame>>,
-}
-
-impl WorkerPlan {
-    fn frames(&self) -> usize {
-        self.bursts.iter().map(Vec::len).sum()
-    }
-}
-
-/// What one frame attempt drew from the chaos lottery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameFault {
-    /// Silent output corruption, caught by the fingerprint check.
-    Flip,
-    /// Typed mid-frame bus error.
-    BusErr,
-    /// The frame completes but takes a latency spike.
-    Spike,
-    /// The firmware hangs; only the watchdog recovers the worker.
-    Hang,
-    /// The worker crashes mid-frame and must re-warm.
-    Crash,
-}
-
-/// Draw the fault (if any) for one `(request, attempt)` — a pure
-/// function of the spec's seed, so fault traces replay bit-identically.
-fn draw_fault(f: &FaultSpec, request: usize, attempt: u32) -> Option<FrameFault> {
-    let h = mix64(
-        mix64(f.seed ^ (request as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ u64::from(attempt),
-    );
-    let lot = h % 1_000_000;
-    let mut edge = u64::from(f.flip_per_million);
-    if lot < edge {
-        return Some(FrameFault::Flip);
-    }
-    edge += u64::from(f.error_per_million);
-    if lot < edge {
-        return Some(FrameFault::BusErr);
-    }
-    edge += u64::from(f.spike_per_million);
-    if lot < edge {
-        return Some(FrameFault::Spike);
-    }
-    edge += u64::from(f.hang_per_million);
-    if lot < edge {
-        return Some(FrameFault::Hang);
-    }
-    edge += u64::from(f.crash_per_million);
-    if lot < edge {
-        return Some(FrameFault::Crash);
-    }
-    None
-}
-
-/// Mutable fault-machinery state threaded through the simulation.
-struct ChaosCtx {
-    /// The armed plan (`None` = never faults; a timeout may still arm
-    /// the chaos path on its own).
-    faults: Option<FaultSpec>,
-    /// Spike magnitude in cycles.
-    spike_cycles: u64,
-    /// Per-attempt timeout in cycles (0 = none).
-    timeout: u64,
-    /// Retry budget per request.
-    retries: u32,
-    /// Shed a retry once a request is this many cycles past arrival.
-    shed_after: u64,
-    /// Attempts consumed per request (survives a crash failover, so a
-    /// requeued request never re-draws the fault that killed it).
-    attempts: Vec<u32>,
-    report: FaultReport,
-}
-
-impl ChaosCtx {
-    /// True when the simulator must leave the fault-free fast path.
-    fn armed(&self) -> bool {
-        self.faults.is_some() || self.timeout > 0
-    }
-}
-
-/// Event-driven state of one simulated worker.
-struct SimWorker {
-    /// When the worker's next decision point occurs.
-    free_at: u64,
-    /// Pipelined mode: the request whose input is (being) staged and
-    /// whose compute starts at `free_at`.
-    staged: Option<usize>,
-    /// Completion cycle of the previous frame in the open burst.
-    burst_prev_completion: u64,
-    stats: WorkerStats,
-    plan: WorkerPlan,
-}
-
-/// The admission queue plus dispatch-policy state.
-struct Dispatcher<'a> {
-    service: &'a ServiceModel,
-    policy: Policy,
-    /// Per-model FIFO of queued request indices.
-    queues: Vec<VecDeque<usize>>,
-    queued: usize,
-    /// Round-robin rotation cursor.
-    cursor: usize,
-}
-
-impl Dispatcher<'_> {
-    /// Pick the model to dequeue next, mirroring
-    /// [`Policy`]'s semantics in [`crate::batch`]: `current` is the
-    /// model about to compute while the picked request's input streams
-    /// behind it (pipelined); estimates come from the calibrated
-    /// profile rather than batch's last-observed cycles, since a
-    /// server knows its residents. `None` when the queue is empty.
-    fn pick(&mut self, current: Option<usize>) -> Option<usize> {
-        let n = self.queues.len();
-        match self.policy {
-            Policy::RoundRobin => {
-                let pick = (0..n)
-                    .map(|off| (self.cursor + off) % n)
-                    .find(|&m| !self.queues[m].is_empty())?;
-                self.cursor = (pick + 1) % n;
-                Some(pick)
-            }
-            Policy::ShortestQueueFirst => self
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .min_by_key(|(m, q)| (q.len(), *m))
-                .map(|(m, _)| m),
-            Policy::EarliestFinish => {
-                let hide = current.map_or(0, |c| self.service.compute[c]);
-                self.queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| !q.is_empty())
-                    .min_by_key(|(m, _)| {
-                        (
-                            self.service.preload[*m].max(hide) + self.service.compute[*m],
-                            *m,
-                        )
-                    })
-                    .map(|(m, _)| m)
-            }
-        }
-    }
-
-    /// Dequeue the FIFO head of the picked model.
-    fn pop(&mut self, model: usize) -> usize {
-        self.queued -= 1;
-        self.queues[model].pop_front().expect("picked nonempty")
-    }
-
-    fn enqueue(&mut self, model: usize, request: usize) {
-        self.queues[model].push_back(request);
-        self.queued += 1;
-    }
-
-    /// Put a failed-over request back at the head of its model's FIFO:
-    /// it was already admitted and dequeued once, so it must not lose
-    /// its place behind later arrivals.
-    fn requeue_front(&mut self, model: usize, request: usize) {
-        self.queues[model].push_front(request);
-        self.queued += 1;
-    }
-}
-
-/// Span-emission context for one simulation: the tracer handle plus the
-/// tracks its spans land on and the model names used as labels. With a
-/// disarmed tracer the track ids are all [`TrackId::NONE`] and every
-/// emission site below is one `is_armed` branch — the whole struct is
-/// inert.
-struct ServeTrace<'a> {
-    tracer: &'a Tracer,
-    names: &'a [String],
-    /// One sync track per worker ("worker N"); empty when disarmed.
-    workers: Vec<TrackId>,
-    /// One async track for the admission queue (waits overlap).
-    queue: TrackId,
-}
-
-impl<'a> ServeTrace<'a> {
-    fn new(tracer: &'a Tracer, names: &'a [String], workers: usize) -> ServeTrace<'a> {
-        let worker_tracks = if tracer.is_armed() {
-            (0..workers)
-                .map(|w| tracer.track(&format!("worker {w}"), TrackKind::Sync))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        ServeTrace {
-            tracer,
-            names,
-            workers: worker_tracks,
-            queue: tracer.track("queue", TrackKind::Async),
-        }
-    }
-
-    /// A request's wait in the admission queue, `[arrival, dispatch]`.
-    fn queue_wait(&self, arrival: u64, dispatch: u64, req: usize) {
-        if self.tracer.is_armed() {
-            self.tracer.span(
-                self.queue,
-                SpanKind::QueueWait,
-                arrival,
-                dispatch,
-                &format!("req {req}"),
-            );
-        }
-    }
-}
-
-/// Run the queueing system over `trace` in modeled time and build the
-/// report plus per-worker dispatch plans. Pure: no SoC is touched, so
-/// this scales to arbitrarily long traces (and is what the property
-/// tests drive with synthetic profiles). Spans land in `tracer`
-/// (disarmed in the plain [`simulate`] path); emission only records
-/// values this function computed anyway, which is what keeps the traced
+/// Run the queueing system over `trace` in modeled time: one
+/// [`Pool`] with no router. Returns the report plus the pool's dispatch
+/// log (what [`Server::serve`] replays). Spans land in `tracer`;
+/// emission only records values computed anyway, which keeps the traced
 /// run bit- and cycle-identical to the untraced one.
 fn simulate_plan(
     trace: &RequestTrace,
@@ -1231,29 +1004,32 @@ fn simulate_plan(
     names: &[String],
     soc_hz: u64,
     tracer: &Tracer,
-) -> (ServeReport, Vec<WorkerPlan>) {
+) -> (ServeReport, Vec<Dispatch>) {
     assert_eq!(
         names.len(),
         service.models(),
         "one name per calibrated model"
     );
-    let n = service.models();
-    let mut disp = Dispatcher {
+    let setup = PoolSetup {
         service,
-        policy: spec.policy,
-        queues: vec![VecDeque::new(); n],
-        queued: 0,
-        cursor: 0,
+        order: Order::Policy(spec.policy),
+        pipelined: spec.pipelined,
+        workers: spec.workers,
+        queue_depth: spec.queue_depth,
+        chaos: Chaos::for_spec(spec, soc_hz, trace.requests.len()),
+        labels: names.iter().map(String::as_str).collect(),
+        worker_track: "worker ".into(),
+        queue_track: "queue".into(),
     };
-    let mut workers: Vec<SimWorker> = (0..spec.workers)
-        .map(|_| SimWorker {
-            free_at: 0,
-            staged: None,
-            burst_prev_completion: 0,
-            stats: WorkerStats::default(),
-            plan: WorkerPlan::default(),
-        })
-        .collect();
+    let mut pool = Pool::new(setup, &trace.requests, tracer);
+    for (i, r) in trace.requests.iter().enumerate() {
+        pool.advance(r.arrival);
+        // A refused request stays dropped.
+        pool.admit(i, r.model, r.arrival);
+    }
+    pool.advance(u64::MAX);
+
+    let slo_cycles = spec.slo_cycles(soc_hz);
     let mut records: Vec<RequestRecord> = trace
         .requests
         .iter()
@@ -1263,466 +1039,36 @@ fn simulate_plan(
             outcome: RequestOutcome::Dropped,
         })
         .collect();
-    let slo_cycles = spec.slo_cycles(soc_hz);
-    let timeout = spec.timeout_cycles(soc_hz);
-    let mut chaos = ChaosCtx {
-        faults: spec.faults.filter(|f| !f.is_quiet()),
-        spike_cycles: spec.faults.map_or(0, |f| f.spike_cycles(soc_hz)),
-        timeout,
-        retries: spec.retries,
-        shed_after: 4 * slo_cycles.max(timeout),
-        attempts: vec![0u32; trace.requests.len()],
-        report: FaultReport::default(),
-    };
-    let tr = ServeTrace::new(tracer, names, spec.workers);
-
-    /// Advance one worker's state machine at its decision point.
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        w: usize,
-        workers: &mut [SimWorker],
-        disp: &mut Dispatcher<'_>,
-        records: &mut [RequestRecord],
-        service: &ServiceModel,
-        pipelined: bool,
-        queue_depth: usize,
-        chaos: &mut ChaosCtx,
-        tr: &ServeTrace<'_>,
-    ) {
-        let now = workers[w].free_at;
-        if pipelined {
-            if let Some(req) = workers[w].staged.take() {
-                // The staged request computes now; try to overlap the
-                // next pick's preload behind it.
-                let m = records[req].model;
-                let next = disp.pick(Some(m));
-                let (compute, window) = match next {
-                    Some(nm) => {
-                        let nr = disp.pop(nm);
-                        workers[w].staged = Some(nr);
-                        let c = service.compute_with[m][nm];
-                        (c, c.max(service.preload_done[m][nm]))
-                    }
-                    None => (service.compute[m], service.compute[m]),
-                };
-                let completion = now + compute;
-                if tr.tracer.is_armed() {
-                    tr.queue_wait(records[req].arrival, now, req);
-                    tr.tracer.span(
-                        tr.workers[w],
-                        SpanKind::Compute,
-                        now,
-                        completion,
-                        &tr.names[m],
-                    );
-                    if window > compute {
-                        // The staged successor's input still streaming
-                        // after this frame's compute retired.
-                        let nm = workers[w]
-                            .staged
-                            .map(|r| records[r].model)
-                            .expect("window exceeds compute only when a successor is staged");
-                        tr.tracer.span(
-                            tr.workers[w],
-                            SpanKind::PsBurst,
-                            completion,
-                            now + window,
-                            &tr.names[nm],
-                        );
-                    }
-                }
-                records[req].outcome = RequestOutcome::Served {
-                    worker: w,
-                    queue_wait: now - records[req].arrival,
-                    service: compute,
-                    completion,
-                };
-                let burst = workers[w]
-                    .plan
-                    .bursts
-                    .last_mut()
-                    .expect("staged frame has an open burst");
-                burst.push(PlannedFrame {
-                    request: req,
-                    predicted: completion - workers[w].burst_prev_completion,
-                });
-                workers[w].burst_prev_completion = completion;
-                workers[w].stats.frames += 1;
-                workers[w].stats.busy_cycles += window;
-                workers[w].free_at = now + window;
-            } else {
-                // Burst start: dequeue and stream the fill.
-                let m = disp.pick(None).expect("step called with work");
-                let req = disp.pop(m);
-                if tr.tracer.is_armed() {
-                    tr.tracer.span(
-                        tr.workers[w],
-                        SpanKind::PsBurst,
-                        now,
-                        now + service.fill[m],
-                        &tr.names[m],
-                    );
-                }
-                workers[w].staged = Some(req);
-                workers[w].plan.bursts.push(Vec::new());
-                workers[w].burst_prev_completion = now;
-                workers[w].stats.busy_cycles += service.fill[m];
-                workers[w].free_at = now + service.fill[m];
-            }
-        } else {
-            let m = disp.pick(None).expect("step called with work");
-            let req = disp.pop(m);
-            let svc = service.preload[m] + service.compute[m];
-            if !chaos.armed() {
-                // Fault-free fast path: byte-identical behaviour (and
-                // report) to a build without the chaos machinery.
-                if tr.tracer.is_armed() {
-                    tr.queue_wait(records[req].arrival, now, req);
-                    let track = tr.workers[w];
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Preload,
-                        now,
-                        now + service.preload[m],
-                        &tr.names[m],
-                    );
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Compute,
-                        now + service.preload[m],
-                        now + svc,
-                        &tr.names[m],
-                    );
-                }
-                records[req].outcome = RequestOutcome::Served {
-                    worker: w,
-                    queue_wait: now - records[req].arrival,
-                    service: svc,
-                    completion: now + svc,
-                };
-                if workers[w].plan.bursts.is_empty() {
-                    workers[w].plan.bursts.push(Vec::new());
-                }
-                workers[w].plan.bursts[0].push(PlannedFrame {
-                    request: req,
-                    predicted: svc,
-                });
-                workers[w].stats.frames += 1;
-                workers[w].stats.busy_cycles += svc;
-                workers[w].free_at = now + svc;
-                return;
-            }
-            // Chaos path: the worker holds the request through a
-            // bounded retry loop on its own modeled timeline (retry
-            // affinity — failed attempts and backoffs burn this
-            // worker's cycles, they never go back through the queue).
-            let arrival = records[req].arrival;
-            // A crash-requeued request can land on a worker whose clock
-            // is still behind the request's arrival (it sat idle through
-            // the crash and its clock never advanced); the frame
-            // physically starts once both the worker and the request
-            // exist.
-            let dispatch = now.max(arrival);
-            let mut start = dispatch;
-            let mut served: Option<u64> = None;
-            let mut crashed = false;
-            loop {
-                let attempt = chaos.attempts[req];
-                chaos.attempts[req] += 1;
-                let fault = chaos
-                    .faults
-                    .as_ref()
-                    .and_then(|f| draw_fault(f, req, attempt));
-                let burn = match fault {
-                    None | Some(FrameFault::Spike) => {
-                        let dur = if fault == Some(FrameFault::Spike) {
-                            chaos.report.spikes += 1;
-                            svc.saturating_add(chaos.spike_cycles)
-                        } else {
-                            svc
-                        };
-                        if chaos.timeout > 0 && dur > chaos.timeout {
-                            // The watchdog aborts the attempt at the
-                            // deadline.
-                            chaos.report.timeouts += 1;
-                            chaos.timeout
-                        } else {
-                            served = Some(dur);
-                            dur
-                        }
-                    }
-                    Some(FrameFault::BusErr) => {
-                        // A typed bus error surfaces mid-frame.
-                        chaos.report.bus_errors += 1;
-                        svc / 2
-                    }
-                    Some(FrameFault::Flip) => {
-                        // Silent corruption: the frame runs to
-                        // completion; the output fingerprint check
-                        // catches it there.
-                        chaos.report.corruptions_detected += 1;
-                        svc
-                    }
-                    Some(FrameFault::Hang) => {
-                        // A hung poll loop: only the watchdog (the
-                        // validated-nonzero timeout) gets us back.
-                        chaos.report.hangs += 1;
-                        chaos.report.timeouts += 1;
-                        chaos.timeout
-                    }
-                    Some(FrameFault::Crash) => {
-                        chaos.report.crashes += 1;
-                        crashed = true;
-                        svc / 2
-                    }
-                };
-                if served.is_some() {
-                    break;
-                }
-                if tr.tracer.is_armed() {
-                    // The failed attempt's burn, labeled by what killed it.
-                    let label = match fault {
-                        None | Some(FrameFault::Spike) => "timeout",
-                        Some(FrameFault::BusErr) => "bus_err",
-                        Some(FrameFault::Flip) => "corrupt",
-                        Some(FrameFault::Hang) => "hang",
-                        Some(FrameFault::Crash) => "crash",
-                    };
-                    tr.tracer
-                        .span(tr.workers[w], SpanKind::Retry, start, start + burn, label);
-                }
-                start += burn;
-                if crashed {
-                    break;
-                }
-                // The attempt failed: exhaust, shed, or back off and
-                // retry on this same worker.
-                if attempt >= chaos.retries {
-                    chaos.report.exhausted += 1;
-                    break;
-                }
-                let backoff = (chaos.timeout / 2).saturating_mul(1u64 << attempt.min(20));
-                if start.saturating_sub(arrival).saturating_add(backoff) > chaos.shed_after {
-                    chaos.report.sheds += 1;
-                    break;
-                }
-                chaos.report.retries += 1;
-                if tr.tracer.is_armed() {
-                    tr.tracer.span(
-                        tr.workers[w],
-                        SpanKind::Retry,
-                        start,
-                        start + backoff,
-                        "backoff",
-                    );
-                }
-                start += backoff;
-            }
-            if let Some(dur) = served {
-                let completion = start + dur;
-                if tr.tracer.is_armed() {
-                    tr.queue_wait(arrival, start, req);
-                    let track = tr.workers[w];
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Preload,
-                        start,
-                        start + service.preload[m],
-                        &tr.names[m],
-                    );
-                    tr.tracer.span(
-                        track,
-                        SpanKind::Compute,
-                        start + service.preload[m],
-                        completion,
-                        &tr.names[m],
-                    );
-                }
-                records[req].outcome = RequestOutcome::Served {
-                    worker: w,
-                    queue_wait: start - arrival,
-                    service: dur,
-                    completion,
-                };
-                if workers[w].plan.bursts.is_empty() {
-                    workers[w].plan.bursts.push(Vec::new());
-                }
-                // The replay runs the clean frame: fault burns exist
-                // only in modeled time (their bus-level realism is
-                // pinned by the soc chaos tests), so the predicted
-                // frame latency stays the clean cost — which is what
-                // keeps replay divergence at zero under faults.
-                workers[w].plan.bursts[0].push(PlannedFrame {
-                    request: req,
-                    predicted: svc,
-                });
-                workers[w].stats.frames += 1;
-                workers[w].stats.busy_cycles += completion - dispatch;
-                workers[w].free_at = completion;
-            } else if crashed {
-                // Failover: the in-flight request goes back to the
-                // head of its queue (keeping its attempt history, so a
-                // serially-crashing request exhausts its budget rather
-                // than ping-ponging forever) if the admission bound
-                // still has room; the worker pays the re-warm recovery
-                // before taking more work either way.
-                let attempt_used = chaos.attempts[req] - 1;
-                if attempt_used >= chaos.retries {
-                    chaos.report.exhausted += 1;
-                } else if disp.queued < queue_depth {
-                    disp.requeue_front(m, req);
-                    chaos.report.failovers += 1;
-                } else {
-                    chaos.report.sheds += 1;
-                }
-                let free = start.saturating_add(service.rewarm);
-                if tr.tracer.is_armed() {
-                    tr.tracer
-                        .span(tr.workers[w], SpanKind::Rewarm, start, free, &tr.names[m]);
-                }
-                workers[w].stats.busy_cycles += free - dispatch;
-                workers[w].free_at = free;
-            } else {
-                // Shed or exhausted: the request stays dropped; the
-                // worker only burned the failed attempts.
-                workers[w].stats.busy_cycles += start - dispatch;
-                workers[w].free_at = start;
-            }
-        }
+    let mut all = Samples::default();
+    let mut per_model = vec![Samples::default(); names.len()];
+    for d in &pool.log {
+        records[d.request].outcome = RequestOutcome::Served {
+            worker: d.worker,
+            queue_wait: d.queue_wait,
+            service: d.service,
+            completion: d.completion,
+        };
+        all.add(d, slo_cycles);
+        per_model[d.model].add(d, slo_cycles);
     }
-
-    /// Let every worker process its decision points up to `until`.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        until: u64,
-        workers: &mut [SimWorker],
-        disp: &mut Dispatcher<'_>,
-        records: &mut [RequestRecord],
-        service: &ServiceModel,
-        pipelined: bool,
-        queue_depth: usize,
-        chaos: &mut ChaosCtx,
-        tr: &ServeTrace<'_>,
-    ) {
-        loop {
-            let ready = (0..workers.len())
-                .filter(|&w| workers[w].staged.is_some() || disp.queued > 0)
-                .min_by_key(|&w| (workers[w].free_at, w));
-            match ready {
-                Some(w) if workers[w].free_at <= until => {
-                    step(
-                        w,
-                        workers,
-                        disp,
-                        records,
-                        service,
-                        pipelined,
-                        queue_depth,
-                        chaos,
-                        tr,
-                    );
-                }
-                _ => break,
-            }
-        }
+    let mut offered = vec![0u64; names.len()];
+    for r in &trace.requests {
+        offered[r.model] += 1;
     }
-
-    for (i, r) in trace.requests.iter().enumerate() {
-        advance(
-            r.arrival,
-            &mut workers,
-            &mut disp,
-            &mut records,
-            service,
-            spec.pipelined,
-            spec.queue_depth,
-            &mut chaos,
-            &tr,
-        );
-        let idle = (0..workers.len())
-            .find(|&w| workers[w].free_at <= r.arrival && workers[w].staged.is_none());
-        if let Some(w) = idle {
-            // Straight to the idle worker; its clock catches up to now.
-            workers[w].free_at = r.arrival;
-            disp.enqueue(r.model, i);
-            step(
-                w,
-                &mut workers,
-                &mut disp,
-                &mut records,
-                service,
-                spec.pipelined,
-                spec.queue_depth,
-                &mut chaos,
-                &tr,
-            );
-        } else if disp.queued < spec.queue_depth {
-            disp.enqueue(r.model, i);
-        }
-        // else: dropped — the default outcome already says so.
-    }
-    advance(
-        u64::MAX,
-        &mut workers,
-        &mut disp,
-        &mut records,
-        service,
-        spec.pipelined,
-        spec.queue_depth,
-        &mut chaos,
-        &tr,
-    );
-
-    // Aggregate.
-    let mut waits = Vec::new();
-    let mut services = Vec::new();
-    let mut totals = Vec::new();
-    let mut makespan = 0u64;
-    let mut slo_attained = 0u64;
-    let mut per_model: Vec<ServeModelStats> = names
+    let per_model = names
         .iter()
-        .map(|name| ServeModelStats {
+        .zip(per_model)
+        .zip(offered)
+        .map(|((name, mut s), offered)| ServeModelStats {
             name: name.clone(),
-            offered: 0,
-            served: 0,
-            dropped: 0,
-            service: LatencyStats::default(),
-            total: LatencyStats::default(),
-            slo_attained: 0,
+            offered,
+            served: s.served(),
+            dropped: offered - s.served(),
+            service: LatencyStats::from_samples(&mut s.service),
+            total: LatencyStats::from_samples(&mut s.total),
+            slo_attained: s.slo_attained,
         })
         .collect();
-    let mut model_services: Vec<Vec<u64>> = vec![Vec::new(); n];
-    let mut model_totals: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for rec in &records {
-        per_model[rec.model].offered += 1;
-        match rec.outcome {
-            RequestOutcome::Served {
-                queue_wait,
-                service: svc,
-                completion,
-                ..
-            } => {
-                let total = queue_wait + svc;
-                waits.push(queue_wait);
-                services.push(svc);
-                totals.push(total);
-                makespan = makespan.max(completion);
-                per_model[rec.model].served += 1;
-                model_services[rec.model].push(svc);
-                model_totals[rec.model].push(total);
-                if total <= slo_cycles {
-                    slo_attained += 1;
-                    per_model[rec.model].slo_attained += 1;
-                }
-            }
-            RequestOutcome::Dropped => per_model[rec.model].dropped += 1,
-        }
-    }
-    for (m, stats) in per_model.iter_mut().enumerate() {
-        stats.service = LatencyStats::from_samples(&mut model_services[m]);
-        stats.total = LatencyStats::from_samples(&mut model_totals[m]);
-    }
-    let served = totals.len() as u64;
     let report = ServeReport {
         policy: spec.policy,
         pipelined: spec.pipelined,
@@ -1735,26 +1081,35 @@ fn simulate_plan(
         duration_cycles: trace.duration,
         slo_cycles,
         offered: records.len() as u64,
-        served,
-        dropped: records.len() as u64 - served,
-        makespan_cycles: makespan,
-        queue_wait: LatencyStats::from_samples(&mut waits),
-        service: LatencyStats::from_samples(&mut services),
-        total: LatencyStats::from_samples(&mut totals),
+        served: all.served(),
+        dropped: records.len() as u64 - all.served(),
+        makespan_cycles: all.makespan,
+        queue_wait: LatencyStats::from_samples(&mut all.queue_wait),
+        service: LatencyStats::from_samples(&mut all.service),
+        total: LatencyStats::from_samples(&mut all.total),
         per_model,
-        per_worker: workers.iter().map(|w| w.stats).collect(),
-        slo_attained,
+        per_worker: pool.workers.iter().map(|w| w.stats).collect(),
+        slo_attained: all.slo_attained,
         records,
-        faults: chaos.report,
+        faults: pool.chaos.map_or_else(FaultReport::default, |c| c.report),
         replay_divergence: 0,
         host_seconds: 0.0,
     };
-    (report, workers.into_iter().map(|w| w.plan).collect())
+    (report, pool.log)
 }
 
 /// Simulate serving `trace` against a calibrated (or synthetic)
 /// [`ServiceModel`] without touching a SoC — the planning half of
 /// [`Server::serve`], exposed for sweeps and property tests.
+///
+/// Spans land in `tracer` ([`Tracer::disarmed`] for none): per-worker
+/// sync tracks carry `preload`/`compute`/`ps_burst`/`retry`/`rewarm`
+/// spans whose top-level cycles sum to each worker's `busy_cycles`, and
+/// an async `queue` track carries a `queue_wait` span per served
+/// request that waited, summing to the report's queue-wait total.
+/// Arming the tracer is observationally free: the report is
+/// byte-identical either way (proptested, and pinned by the
+/// `determinism_fingerprint` CI gate).
 ///
 /// # Panics
 ///
@@ -1766,77 +1121,9 @@ pub fn simulate(
     spec: &ServeSpec,
     names: &[String],
     soc_hz: u64,
-) -> ServeReport {
-    simulate_plan(trace, service, spec, names, soc_hz, &Tracer::disarmed()).0
-}
-
-/// [`simulate`], emitting spans into `tracer`: per-worker sync tracks
-/// carry `preload`/`compute`/`ps_burst`/`retry`/`rewarm` spans whose
-/// top-level cycles sum to each worker's `busy_cycles`, and an async
-/// `queue` track carries one `queue_wait` span per served request whose
-/// cycles sum to the report's queue-wait total. Arming the tracer is
-/// observationally free: the report is byte-identical to [`simulate`]'s
-/// (proptested, and pinned by the `determinism_fingerprint` CI gate).
-///
-/// # Panics
-///
-/// Panics when `names` does not have one entry per calibrated model.
-#[must_use]
-pub fn simulate_traced(
-    trace: &RequestTrace,
-    service: &ServiceModel,
-    spec: &ServeSpec,
-    names: &[String],
-    soc_hz: u64,
     tracer: &Tracer,
 ) -> ServeReport {
     simulate_plan(trace, service, spec, names, soc_hz, tracer).0
-}
-
-/// Replay per-burst model `seqs` on one fresh SoC of `config` with the
-/// whole `artifacts` set resident, streaming `frames` — `(model, input
-/// bytes)` in enqueue order — and return every frame's modeled latency
-/// ([`crate::batch::FrameLatency`] semantics) in run order. This is the
-/// shared replay engine behind [`Server::serve`]'s per-worker check and
-/// the fleet's spot-replay windows ([`crate::fleet`]): both simulate in
-/// calibrated cycles, then prove the plan against the real machine.
-pub(crate) fn replay_sequences(
-    config: &SocConfig,
-    artifacts: &[Arc<Artifacts>],
-    codegen: CodegenOptions,
-    policy: Policy,
-    pipelined: bool,
-    seqs: &[Vec<usize>],
-    frames: impl IntoIterator<Item = (usize, Vec<u8>)>,
-) -> Result<Vec<u64>, BatchError> {
-    let total: usize = seqs.iter().map(Vec::len).sum();
-    let mut latencies = Vec::with_capacity(total);
-    if pipelined {
-        let mut sched = PipelinedScheduler::new(config.clone(), policy);
-        for a in artifacts {
-            sched.add_model(a.clone(), codegen)?;
-        }
-        for (model, bytes) in frames {
-            sched.enqueue_bytes(model, bytes)?;
-        }
-        for seq in seqs {
-            let rep = sched.run_sequence(seq)?;
-            latencies.extend(rep.frame_latencies.iter().map(|f| f.cycles));
-        }
-    } else {
-        let mut sched = BatchScheduler::new(config.clone(), policy);
-        for a in artifacts {
-            sched.add_model(a.clone(), codegen)?;
-        }
-        for (model, bytes) in frames {
-            sched.enqueue_bytes(model, bytes)?;
-        }
-        for seq in seqs {
-            let rep = sched.run_sequence(seq)?;
-            latencies.extend(rep.frame_latencies.iter().map(|f| f.cycles));
-        }
-    }
-    Ok(latencies)
 }
 
 /// An inference server over a resident model set: calibrates the
@@ -1914,7 +1201,7 @@ impl Server {
     }
 
     /// [`Server::plan`], emitting spans into `tracer` (see
-    /// [`simulate_traced`] for the track layout and the bit-identity
+    /// [`simulate`] for the track layout and the bit-identity
     /// contract).
     ///
     /// # Errors
@@ -1944,8 +1231,9 @@ impl Server {
     /// the dispatch plan out across [`ServeSpec::workers`] real SoCs
     /// (each with the full model set resident, via
     /// [`crate::sweep::fan_out`]) and replay every burst with
-    /// [`BatchScheduler::run_sequence`] /
-    /// [`PipelinedScheduler::run_sequence`]. Each replayed frame's
+    /// [`BatchScheduler::run_sequence`](crate::batch::BatchScheduler::run_sequence) /
+    /// [`PipelinedScheduler::run_sequence`](crate::batch::PipelinedScheduler::run_sequence).
+    /// Each replayed frame's
     /// modeled latency is checked against the plan;
     /// [`ServeReport::replay_divergence`] counts the disagreements
     /// (zero on a healthy build — `tests/serve.rs` pins it).
@@ -1958,13 +1246,14 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics (propagated by [`fan_out`]).
+    /// Panics if a worker thread panics (propagated by
+    /// [`fan_out`](crate::sweep::fan_out)).
     pub fn serve(&self, spec: &ServeSpec) -> Result<ServeReport, ServeError> {
         self.serve_traced(spec, &Tracer::disarmed())
     }
 
     /// [`Server::serve`], emitting spans into `tracer` (see
-    /// [`simulate_traced`] for the track layout and the bit-identity
+    /// [`simulate`] for the track layout and the bit-identity
     /// contract). Only the planning half emits — the replay is a
     /// cross-check of the very cycles the plan's spans already carry.
     ///
@@ -1976,7 +1265,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics (propagated by [`fan_out`]).
+    /// Panics if a worker thread panics (propagated by
+    /// [`fan_out`](crate::sweep::fan_out)).
     pub fn serve_traced(
         &self,
         spec: &ServeSpec,
@@ -1985,7 +1275,7 @@ impl Server {
         spec.validate()?;
         let start = Instant::now();
         let trace = self.trace(spec);
-        let (mut report, plans) = simulate_plan(
+        let (mut report, log) = simulate_plan(
             &trace,
             &self.service,
             spec,
@@ -1993,72 +1283,27 @@ impl Server {
             self.config.soc_hz,
             tracer,
         );
-        // Per-request input bytes, deterministic from the seed and the
-        // request index alone: the replay streams real (varied) images,
-        // proving the modeled cycles are input-independent. Generated
-        // lazily per planned frame inside each worker — dropped
-        // requests never materialize bytes, and the RNG work rides the
-        // fan-out.
-        let input_for = |request: usize| -> Vec<u8> {
-            let mut rng = StdRng::seed_from_u64(spec.seed ^ (0x5EED << 16) ^ request as u64);
-            (0..self.artifacts[trace.requests[request].model].input_len)
-                .map(|_| rng.gen_range(0u8..=255))
-                .collect()
-        };
-        let measured = fan_out(
-            plans.len(),
-            plans.len(),
-            |w| -> Result<Vec<u64>, BatchError> {
-                let plan = &plans[w];
-                if plan.frames() == 0 {
-                    return Ok(Vec::new());
-                }
-                // The per-burst model sequences the scheduler replays,
-                // and every frame's bytes in enqueue order — identical
-                // for both worker modes; only the scheduler type (and
-                // hence the preload overlap) differs below.
-                let seqs: Vec<Vec<usize>> = plan
-                    .bursts
-                    .iter()
-                    .map(|burst| {
-                        burst
-                            .iter()
-                            .map(|f| trace.requests[f.request].model)
-                            .collect()
-                    })
-                    .collect();
-                let frames = plan
-                    .bursts
-                    .iter()
-                    .flatten()
-                    .map(|f| (trace.requests[f.request].model, input_for(f.request)));
-                replay_sequences(
-                    &self.config,
-                    &self.artifacts,
-                    self.codegen,
-                    spec.policy,
-                    spec.pipelined,
-                    &seqs,
-                    frames,
-                )
-            },
-        );
-        let mut divergence = 0u64;
-        for (w, run) in measured.into_iter().enumerate() {
-            let latencies = run?;
-            let predicted: Vec<u64> = plans[w]
-                .bursts
-                .iter()
-                .flatten()
-                .map(|f| f.predicted)
-                .collect();
-            divergence += predicted
-                .iter()
-                .zip(&latencies)
-                .filter(|(p, m)| p != m)
-                .count() as u64;
-            divergence += predicted.len().abs_diff(latencies.len()) as u64;
+        // Each worker's frames in dispatch order, split into bursts: a
+        // serial worker runs one burst, a pipelined one a burst per
+        // pipeline fill.
+        let mut bursts: Vec<Vec<Vec<Dispatch>>> = vec![Vec::new(); spec.workers];
+        for d in log {
+            let worker = &mut bursts[d.worker];
+            if d.burst_start || worker.is_empty() {
+                worker.push(Vec::new());
+            }
+            worker.last_mut().expect("burst opened").push(d);
         }
+        let jobs: Vec<ReplayJob<'_>> = bursts
+            .into_iter()
+            .filter(|b| !b.is_empty())
+            .map(|bursts| ReplayJob {
+                config: &self.config,
+                artifacts: &self.artifacts,
+                bursts,
+            })
+            .collect();
+        let (divergence, _) = replay(&jobs, self.codegen, spec.pipelined, spec.seed)?;
         report.replay_divergence = divergence;
         report.host_seconds = start.elapsed().as_secs_f64();
         Ok(report)
@@ -2163,7 +1408,14 @@ mod tests {
         // 100 req/s of ~1k-cycle service at 100 MHz: each request meets
         // an idle worker.
         let t = RequestTrace::generate(ArrivalProcess::Fixed, 100, 100_000_000, 2, 1, 100_000_000);
-        let r = simulate(&t, &profile(), &spec(), &names(), 100_000_000);
+        let r = simulate(
+            &t,
+            &profile(),
+            &spec(),
+            &names(),
+            100_000_000,
+            &Tracer::disarmed(),
+        );
         assert_eq!(r.offered, 100);
         assert_eq!(r.served, 100);
         assert_eq!(r.dropped, 0);
@@ -2180,7 +1432,7 @@ mod tests {
         let hz = 100_000_000;
         let t = RequestTrace::generate(ArrivalProcess::Fixed, 100_000, hz / 100, 2, 1, hz);
         assert_eq!(t.requests.len(), 1_000);
-        let r = simulate(&t, &profile(), &spec(), &names(), hz);
+        let r = simulate(&t, &profile(), &spec(), &names(), hz, &Tracer::disarmed());
         assert_eq!(r.served + r.dropped, r.offered);
         assert!(r.dropped > 0, "overload must drop");
         assert!(
@@ -2201,7 +1453,7 @@ mod tests {
     fn two_workers_halve_the_backlog() {
         let hz = 100_000_000;
         let t = RequestTrace::generate(ArrivalProcess::Fixed, 100_000, hz / 100, 2, 1, hz);
-        let one = simulate(&t, &profile(), &spec(), &names(), hz);
+        let one = simulate(&t, &profile(), &spec(), &names(), hz, &Tracer::disarmed());
         let two = simulate(
             &t,
             &profile(),
@@ -2211,6 +1463,7 @@ mod tests {
             },
             &names(),
             hz,
+            &Tracer::disarmed(),
         );
         assert!(two.served > one.served);
         assert!(two.per_worker.len() == 2 && two.per_worker[1].frames > 0);
@@ -2231,6 +1484,7 @@ mod tests {
             },
             &names(),
             hz,
+            &Tracer::disarmed(),
         );
         assert_eq!(r.served + r.dropped, r.offered);
         assert!(r.served > 0);
@@ -2383,7 +1637,7 @@ mod tests {
     fn quiet_fault_plan_is_bit_identical_to_no_plan() {
         let hz = 100_000_000;
         let t = RequestTrace::generate(ArrivalProcess::Fixed, 100_000, hz / 100, 2, 1, hz);
-        let clean = simulate(&t, &profile(), &spec(), &names(), hz);
+        let clean = simulate(&t, &profile(), &spec(), &names(), hz, &Tracer::disarmed());
         let quiet = simulate(
             &t,
             &profile(),
@@ -2393,6 +1647,7 @@ mod tests {
             },
             &names(),
             hz,
+            &Tracer::disarmed(),
         );
         assert_eq!(clean, quiet, "an all-quiet plan must stay on the fast path");
         assert_eq!(clean.faults, FaultReport::default());
@@ -2418,7 +1673,14 @@ mod tests {
             }),
             ..spec()
         };
-        let r = simulate(&t, &profile(), &chaos_spec, &names(), hz);
+        let r = simulate(
+            &t,
+            &profile(),
+            &chaos_spec,
+            &names(),
+            hz,
+            &Tracer::disarmed(),
+        );
         assert_eq!(r.served + r.dropped, r.offered);
         let f = r.faults;
         assert!(f.injected() > 0, "35% composite rate must fire: {f:?}");
@@ -2434,7 +1696,14 @@ mod tests {
             "every hang is caught by the watchdog"
         );
         // Bit-identical replay of the whole report from the seeds.
-        let again = simulate(&t, &profile(), &chaos_spec, &names(), hz);
+        let again = simulate(
+            &t,
+            &profile(),
+            &chaos_spec,
+            &names(),
+            hz,
+            &Tracer::disarmed(),
+        );
         assert_eq!(r, again, "a seeded chaos run must replay bit-identically");
         // A different fault seed moves the faults.
         let moved = simulate(
@@ -2446,6 +1715,7 @@ mod tests {
             },
             &names(),
             hz,
+            &Tracer::disarmed(),
         );
         assert_ne!(r.faults, moved.faults, "a new seed must move the faults");
     }
@@ -2465,6 +1735,7 @@ mod tests {
             },
             &names(),
             hz,
+            &Tracer::disarmed(),
         );
         assert_eq!(
             r.per_model[1].served, 0,
@@ -2495,6 +1766,7 @@ mod tests {
             },
             &names(),
             hz,
+            &Tracer::disarmed(),
         );
         // Every attempt crashes: 3 attempts per request (initial + 2
         // failovers), then the budget is exhausted.
@@ -2546,6 +1818,7 @@ mod tests {
                 },
                 &names(),
                 hz,
+                &Tracer::disarmed(),
             );
             if r.faults.failovers > 0 && r.served == 1 {
                 // Served after a failover: in the buggy version this

@@ -678,27 +678,16 @@ fn cmd_batch(args: &[String]) -> Result<(), AnyError> {
         .collect();
 
     let start = Instant::now();
-    let report = if pipeline {
-        run_parallel_pipelined_traced(
-            &config,
-            policy,
-            &artifacts,
-            codegen,
-            &frame_stream,
-            threads,
-            &obs.tracer,
-        )?
-    } else {
-        run_parallel_traced(
-            &config,
-            policy,
-            &artifacts,
-            codegen,
-            &frame_stream,
-            threads,
-            &obs.tracer,
-        )?
-    };
+    let report = run_parallel(
+        &config,
+        policy,
+        pipeline,
+        &artifacts,
+        codegen,
+        &frame_stream,
+        threads,
+        &obs.tracer,
+    )?;
     let host_ms = start.elapsed().as_secs_f64() * 1e3;
 
     println!(

@@ -100,7 +100,7 @@ proptest! {
         let trace = fleet::shaped_trace(
             spec.shape, spec.rate_rps, spec.duration_cycles(HZ), models, spec.seed, HZ);
         let offered = trace.requests.len() as u64;
-        let r = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
+        let r = fleet::simulate(&trace, &profiles, &spec, &names, HZ, &Tracer::disarmed());
         prop_assert_eq!(r.offered, offered);
         let routed: u64 = r.per_pool.iter().map(|p| p.routed).sum();
         prop_assert_eq!(r.offered, r.shed + routed, "balancer books must balance");
@@ -148,7 +148,7 @@ proptest! {
         let names = model_names(models);
         let trace = fleet::shaped_trace(
             spec.shape, spec.rate_rps, spec.duration_cycles(HZ), models, spec.seed, HZ);
-        let r = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
+        let r = fleet::simulate(&trace, &profiles, &spec, &names, HZ, &Tracer::disarmed());
         for rec in &r.records {
             let pool = match rec.outcome {
                 FleetOutcome::Served { pool, .. } | FleetOutcome::Dropped { pool } => pool,
@@ -193,7 +193,7 @@ proptest! {
         let names = model_names(2);
         let trace = fleet::shaped_trace(
             spec.shape, spec.rate_rps, spec.duration_cycles(HZ), 2, spec.seed, HZ);
-        let a = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
+        let a = fleet::simulate(&trace, &profiles, &spec, &names, HZ, &Tracer::disarmed());
         let p = &a.per_pool[0];
         prop_assert!(p.workers_low >= 1, "never scales to zero");
         prop_assert!(p.workers_high <= workers + headroom, "never exceeds max");
@@ -202,7 +202,7 @@ proptest! {
             (p.workers_low..=p.workers_high).contains(&p.workers_final),
             "final count within the observed envelope"
         );
-        let b = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
+        let b = fleet::simulate(&trace, &profiles, &spec, &names, HZ, &Tracer::disarmed());
         prop_assert_eq!(a, b, "seeded fleet sim must be deterministic");
     }
 }
@@ -249,8 +249,8 @@ proptest! {
         let trace = fleet::shaped_trace(
             spec.shape, spec.rate_rps, spec.duration_cycles(HZ), models, spec.seed, HZ);
         let tracer = Tracer::armed();
-        let traced = fleet::simulate_traced(&trace, &profiles, &spec, &names, HZ, &tracer);
-        let quiet = fleet::simulate(&trace, &profiles, &spec, &names, HZ);
+        let traced = fleet::simulate(&trace, &profiles, &spec, &names, HZ, &tracer);
+        let quiet = fleet::simulate(&trace, &profiles, &spec, &names, HZ, &Tracer::disarmed());
         prop_assert_eq!(&traced, &quiet, "arming the tracer must be byte-invisible");
         let spans = tracer.snapshot();
         let well_formed = spans.validate();
@@ -430,4 +430,54 @@ fn nv_full_pool_is_calibrated_faster_than_nv_small() {
             "model {lm}: nv_full compute {f} should beat nv_small {s}"
         );
     }
+}
+
+/// `FleetSpec::validate` accepts an SLO as large as `u64` allows; the
+/// front door's shed threshold (a multiple of the SLO) must saturate
+/// rather than overflow, traced and untraced alike.
+#[test]
+fn huge_slo_saturates_the_shed_threshold() {
+    let profiles = vec![
+        flat_profile(200_000, vec![0, 1]),
+        flat_profile(80_000, vec![1]),
+    ];
+    let spec = FleetSpec {
+        pools: vec![
+            PoolSpec {
+                workers: 1,
+                min_workers: 1,
+                max_workers: 3,
+                queue_depth: 4,
+                ..PoolSpec::default()
+            },
+            PoolSpec {
+                models: Some(vec![1]),
+                ..PoolSpec::default()
+            },
+        ],
+        shape: TrafficShape::FlashCrowd,
+        rate_rps: 2_000,
+        duration_ms: 40,
+        slo_us: u64::MAX,
+        scale_window_ms: 5,
+        ..FleetSpec::default()
+    };
+    spec.validate(2).expect("the validator accepts this spec");
+    let names = model_names(2);
+    let trace = fleet::shaped_trace(
+        spec.shape,
+        spec.rate_rps,
+        spec.duration_cycles(HZ),
+        2,
+        spec.seed,
+        HZ,
+    );
+    let tracer = Tracer::armed();
+    let traced = fleet::simulate(&trace, &profiles, &spec, &names, HZ, &tracer);
+    let plain = fleet::simulate(&trace, &profiles, &spec, &names, HZ, &Tracer::disarmed());
+    assert_eq!(traced, plain);
+    tracer.snapshot().validate().expect("well-formed trace");
+    assert_eq!(plain.shed, 0, "no wait exceeds an endless SLO");
+    assert_eq!(plain.served + plain.dropped, plain.offered);
+    assert_eq!(plain.slo_attained, plain.served);
 }

@@ -426,7 +426,7 @@ proptest! {
             spec.process, rate, spec.duration_cycles(hz), 2, seed, hz,
         );
         let names = vec!["a".to_string(), "b".to_string()];
-        let r = simulate(&trace, &service, &spec, &names, hz);
+        let r = simulate(&trace, &service, &spec, &names, hz, &Tracer::disarmed());
         prop_assert_eq!(r.served + r.dropped, r.offered, "every request accounted for");
         prop_assert!(
             r.achieved_rate() <= r.offered_rate() + 1e-9,
@@ -500,7 +500,7 @@ proptest! {
             spec.process, rate, spec.duration_cycles(hz), 2, seed, hz,
         );
         let names = vec!["a".to_string(), "b".to_string()];
-        let r = simulate(&trace, &service, &spec, &names, hz);
+        let r = simulate(&trace, &service, &spec, &names, hz, &Tracer::disarmed());
         prop_assert_eq!(r.served + r.dropped, r.offered, "every request accounted for");
         let f = r.faults;
         prop_assert_eq!(
@@ -510,7 +510,7 @@ proptest! {
         );
         prop_assert!(f.hangs <= f.timeouts, "a hang is detected as a timeout");
         prop_assert!(r.slo_attained <= r.served);
-        let r2 = simulate(&trace, &service, &spec, &names, hz);
+        let r2 = simulate(&trace, &service, &spec, &names, hz, &Tracer::disarmed());
         prop_assert_eq!(r, r2, "a faulted plan must replay bit-identically");
     }
 
@@ -551,8 +551,8 @@ proptest! {
             quiet.process, rate, quiet.duration_cycles(hz), 2, seed, hz,
         );
         let names = vec!["a".to_string(), "b".to_string()];
-        let a = simulate(&trace, &service, &quiet, &names, hz);
-        let b = simulate(&trace, &service, &none, &names, hz);
+        let a = simulate(&trace, &service, &quiet, &names, hz, &Tracer::disarmed());
+        let b = simulate(&trace, &service, &none, &names, hz, &Tracer::disarmed());
         prop_assert_eq!(a, b, "a quiet fault plan must be invisible");
     }
 }
@@ -566,12 +566,12 @@ proptest! {
 // load, pool shape, policy, both worker modes and chaos.
 
 use rvnv_obs::{SpanKind, Tracer};
-use rvnv_soc::serve::{simulate_traced, RequestOutcome};
+use rvnv_soc::serve::RequestOutcome;
 
 proptest! {
-    /// The tracing honesty contract, as a property: `simulate_traced`
-    /// with an armed tracer returns a report byte-identical to
-    /// `simulate`'s, and the spans it emits are well-formed and account
+    /// The tracing honesty contract, as a property: `simulate` with an
+    /// armed tracer returns a report byte-identical to a disarmed run's,
+    /// and the spans it emits are well-formed and account
     /// for exactly the cycles the report claims.
     #[test]
     fn traced_serve_sim_is_invisible_well_formed_and_reconciles(
@@ -618,8 +618,8 @@ proptest! {
         );
         let names = vec!["a".to_string(), "b".to_string()];
         let tracer = Tracer::armed();
-        let traced = simulate_traced(&trace, &service, &spec, &names, hz, &tracer);
-        let quiet = simulate(&trace, &service, &spec, &names, hz);
+        let traced = simulate(&trace, &service, &spec, &names, hz, &tracer);
+        let quiet = simulate(&trace, &service, &spec, &names, hz, &Tracer::disarmed());
         prop_assert_eq!(&traced, &quiet, "arming the tracer must be byte-invisible");
         let spans = tracer.snapshot();
         let well_formed = spans.validate();

@@ -15,10 +15,8 @@ pub fn serve(
     hz: u64,
     tracer: Option<&Tracer>,
 ) -> ServeReport {
-    match tracer {
-        Some(t) => serve::simulate_traced(trace, service, spec, names, hz, t),
-        None => serve::simulate(trace, service, spec, names, hz),
-    }
+    let disarmed = Tracer::disarmed();
+    serve::simulate(trace, service, spec, names, hz, tracer.unwrap_or(&disarmed))
 }
 
 /// Fleet simulation, spans into `tracer` when given.
@@ -30,8 +28,13 @@ pub fn fleet(
     hz: u64,
     tracer: Option<&Tracer>,
 ) -> FleetReport {
-    match tracer {
-        Some(t) => fleet::simulate_traced(trace, profiles, spec, names, hz, t),
-        None => fleet::simulate(trace, profiles, spec, names, hz),
-    }
+    let disarmed = Tracer::disarmed();
+    fleet::simulate(
+        trace,
+        profiles,
+        spec,
+        names,
+        hz,
+        tracer.unwrap_or(&disarmed),
+    )
 }

@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 use rv_nvdla::prelude::*;
 use rvnv_soc::batch;
-use rvnv_soc::serve::{ArrivalProcess, RequestOutcome};
+use rvnv_soc::serve::{simulate, ArrivalProcess, RequestOutcome};
 
 /// One calibrated server shared by every test (calibration compiles
 /// both models and runs N + N² real frames — do it once).
@@ -372,4 +372,88 @@ fn chaos_serve_keeps_replay_divergence_at_zero_and_books_balanced() {
     let mut again = server.serve(&spec).expect("chaos serve again");
     again.host_seconds = r.host_seconds;
     assert_eq!(r, again, "seeded chaos must replay bit-identically");
+}
+
+/// `ServeSpec::validate` accepts an SLO or timeout as large as `u64`
+/// allows. The simulator must saturate its deadline arithmetic rather
+/// than overflow: an SLO of `u64::MAX` µs, and a `u64::MAX` µs watchdog
+/// that every (hung) attempt runs into, both return reports, traced
+/// and untraced alike.
+#[test]
+fn huge_slo_and_timeout_saturate_instead_of_overflowing() {
+    let hz = 100_000_000;
+    let service = ServiceModel {
+        preload: vec![1_000, 2_000],
+        fill: vec![1_000, 2_000],
+        compute: vec![20_000, 50_000],
+        compute_with: vec![vec![21_000, 22_000], vec![51_000, 52_000]],
+        preload_done: vec![vec![1_000, 3_000], vec![2_000, 2_500]],
+        rewarm: 100_000,
+    };
+    let names = vec!["a".to_string(), "b".to_string()];
+    let huge_slo = ServeSpec {
+        rate_rps: 3_000,
+        duration_ms: 20,
+        workers: 2,
+        slo_us: u64::MAX,
+        ..base_spec()
+    };
+    let hung = ServeSpec {
+        timeout_us: u64::MAX,
+        faults: Some(FaultSpec {
+            hang_per_million: 1_000_000,
+            ..FaultSpec::default()
+        }),
+        ..huge_slo
+    };
+    let huge_slo_chaos = ServeSpec {
+        timeout_us: 400,
+        retries: 2,
+        faults: Some(FaultSpec {
+            seed: 3,
+            error_per_million: 200_000,
+            crash_per_million: 100_000,
+            ..FaultSpec::default()
+        }),
+        ..huge_slo
+    };
+    for spec in [huge_slo, hung, huge_slo_chaos] {
+        spec.validate().expect("the validator accepts these specs");
+        let trace = RequestTrace::generate(
+            spec.process,
+            spec.rate_rps,
+            spec.duration_cycles(hz),
+            2,
+            spec.seed,
+            hz,
+        );
+        let tracer = Tracer::armed();
+        let traced = simulate(&trace, &service, &spec, &names, hz, &tracer);
+        let plain = simulate(&trace, &service, &spec, &names, hz, &Tracer::disarmed());
+        assert_eq!(traced, plain, "{spec:?}");
+        tracer.snapshot().validate().expect("well-formed trace");
+        assert_eq!(plain.served + plain.dropped, plain.offered, "{spec:?}");
+        assert_eq!(
+            plain.slo_attained, plain.served,
+            "nothing misses an endless SLO"
+        );
+    }
+    let r = simulate(
+        &RequestTrace::generate(
+            hung.process,
+            hung.rate_rps,
+            hung.duration_cycles(hz),
+            2,
+            hung.seed,
+            hz,
+        ),
+        &service,
+        &hung,
+        &names,
+        hz,
+        &Tracer::disarmed(),
+    );
+    assert_eq!(r.served, 0, "every attempt hangs");
+    assert!(r.faults.hangs > 0 && r.faults.hangs == r.faults.timeouts);
+    assert_eq!(r.faults.hangs, r.faults.exhausted, "no retry budget");
 }
