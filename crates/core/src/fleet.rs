@@ -66,7 +66,7 @@ use rvnv_nvdla::HwConfig;
 use rvnv_obs::{Json, MetricsRegistry, SpanKind, Tracer, TrackId, TrackKind};
 
 use crate::batch::layout_models;
-use crate::pool::{replay, Dispatch, Order, Pool, PoolSetup, ReplayJob, Samples};
+use crate::pool::{replay, Order, Planned, Pool, PoolSetup, ReplayJob, Samples};
 use crate::serve::{LatencyStats, Request, RequestTrace, ServeError, ServiceModel};
 use crate::soc::SocConfig;
 
@@ -883,6 +883,8 @@ impl FleetReport {
 /// adds — routing credit, the autoscaler's rolling SLO window and its
 /// size envelope.
 struct FleetPool<'a> {
+    /// Index of the pool in the fleet.
+    index: usize,
     pool: Pool<'a>,
     profile: &'a PoolProfile,
     spec: &'a PoolSpec,
@@ -890,8 +892,10 @@ struct FleetPool<'a> {
     autoscaled: bool,
     /// Rolling SLO events `(cycle, met)` for the autoscaler window.
     window: Vec<(u64, bool)>,
-    /// Dispatch-log entries already folded into `window`.
-    windowed: usize,
+    /// The pool's served requests.
+    served: Samples,
+    /// Served frames in dispatch order, kept only for a spot-replay.
+    plan: Option<Vec<Planned>>,
     /// Smooth weighted-round-robin credit.
     credit: i64,
     mean_svc: u64,
@@ -905,20 +909,31 @@ struct FleetPool<'a> {
 }
 
 impl FleetPool<'_> {
-    /// One autoscaler evaluation at boundary cycle `b`, after the pool
-    /// advanced to `b`.
-    fn autoscale(
-        &mut self,
-        b: u64,
-        window_cycles: u64,
-        spec: &FleetSpec,
-        slo_cycles: u64,
-        tracer: &Tracer,
-    ) {
-        for d in &self.pool.log[self.windowed..] {
-            self.window.push((d.completion, d.total() <= slo_cycles));
+    /// Fold the frames the pool served since the last call into the
+    /// request records, the fleet-wide and pool samples, the autoscaler
+    /// window and the spot-replay plan.
+    fn sync(&mut self, records: &mut [FleetRecord], all: &mut Samples, slo_cycles: u64) {
+        for d in self.pool.served() {
+            records[d.request].outcome = FleetOutcome::Served {
+                pool: self.index,
+                queue_wait: d.queue_wait,
+                service: d.service,
+                completion: d.completion,
+            };
+            all.add(&d, slo_cycles);
+            self.served.add(&d, slo_cycles);
+            if let Some(plan) = &mut self.plan {
+                plan.push(d.planned());
+            }
+            if self.autoscaled {
+                self.window.push((d.completion, d.total() <= slo_cycles));
+            }
         }
-        self.windowed = self.pool.log.len();
+    }
+
+    /// One autoscaler evaluation at boundary cycle `b`, after the pool
+    /// advanced to `b` and synced.
+    fn autoscale(&mut self, b: u64, window_cycles: u64, spec: &FleetSpec, tracer: &Tracer) {
         self.window
             .retain(|&(c, _)| c.saturating_add(window_cycles) > b);
         let mut met = 0u64;
@@ -955,7 +970,7 @@ impl FleetPool<'_> {
 
     /// Workers busy at `now` plus the queued backlog.
     fn load(&self, now: u64) -> u64 {
-        let busy = self.pool.workers.iter().filter(|w| w.free_at > now).count();
+        let busy = self.pool.clocks().iter().filter(|&&c| c > now).count();
         (busy + self.pool.queued()) as u64
     }
 
@@ -1014,8 +1029,8 @@ fn least_loaded(cands: &[usize], pools: &[FleetPool<'_>], now: u64) -> usize {
 }
 
 /// Run the fleet over `trace` in modeled time: N [`Pool`]s behind the
-/// balancer. Returns the report plus each pool's dispatch log (the
-/// spot-replay source). Spans land in `tracer`; emission only records
+/// balancer. Returns the report plus, when `keep_plan`, each pool's
+/// served frames in dispatch order (the spot-replay source). Spans land in `tracer`; emission only records
 /// values computed anyway, keeping the traced run bit- and
 /// cycle-identical to the untraced one.
 fn simulate_plan(
@@ -1025,7 +1040,8 @@ fn simulate_plan(
     names: &[String],
     soc_hz: u64,
     tracer: &Tracer,
-) -> (FleetReport, Vec<Vec<Dispatch>>) {
+    keep_plan: bool,
+) -> (FleetReport, Vec<Vec<Planned>>) {
     assert_eq!(
         profiles.len(),
         spec.pools.len(),
@@ -1055,12 +1071,14 @@ fn simulate_plan(
                 queue_track: format!("{prefix} queue"),
             };
             FleetPool {
+                index: p,
                 pool: Pool::new(setup, &trace.requests, tracer),
                 profile,
                 spec: pspec,
                 autoscaled: pspec.max_workers > pspec.min_workers,
                 window: Vec::new(),
-                windowed: 0,
+                served: Samples::default(),
+                plan: keep_plan.then(Vec::new),
                 credit: 0,
                 mean_svc: profile.mean_svc(),
                 routed: 0,
@@ -1092,6 +1110,7 @@ fn simulate_plan(
             outcome: FleetOutcome::Shed,
         })
         .collect();
+    let mut all = Samples::default();
     let mut shed = 0u64;
     let mut next_eval = window_cycles;
 
@@ -1100,12 +1119,14 @@ fn simulate_plan(
         while autoscaling && next_eval <= r.arrival {
             for pool in pools.iter_mut().filter(|p| p.autoscaled) {
                 pool.pool.advance(next_eval);
-                pool.autoscale(next_eval, window_cycles, spec, slo_cycles, tracer);
+                pool.sync(&mut records, &mut all, slo_cycles);
+                pool.autoscale(next_eval, window_cycles, spec, tracer);
             }
             next_eval = next_eval.saturating_add(window_cycles);
         }
         for pool in &mut pools {
             pool.pool.advance(r.arrival);
+            pool.sync(&mut records, &mut all, slo_cycles);
         }
         let cands = &candidates[r.model];
         assert!(
@@ -1128,7 +1149,9 @@ fn simulate_plan(
             .profile
             .local(r.model)
             .expect("routed to a resident pool");
-        if !pool.pool.admit(i, local, r.arrival) {
+        if pool.pool.admit(i, local, r.arrival) {
+            pool.sync(&mut records, &mut all, slo_cycles);
+        } else {
             records[i].outcome = FleetOutcome::Dropped { pool: p };
             pool.dropped += 1;
             if pool.autoscaled {
@@ -1139,23 +1162,13 @@ fn simulate_plan(
     // Drain: no arrivals remain, so the autoscaler holds its size.
     for pool in &mut pools {
         pool.pool.advance(u64::MAX);
+        pool.sync(&mut records, &mut all, slo_cycles);
     }
 
-    let mut all = Samples::default();
     let mut per_pool = Vec::with_capacity(pools.len());
-    let mut logs = Vec::with_capacity(pools.len());
-    for (p, pool) in pools.into_iter().enumerate() {
-        let mut served = Samples::default();
-        for d in &pool.pool.log {
-            records[d.request].outcome = FleetOutcome::Served {
-                pool: p,
-                queue_wait: d.queue_wait,
-                service: d.service,
-                completion: d.completion,
-            };
-            all.add(d, slo_cycles);
-            served.add(d, slo_cycles);
-        }
+    let mut plans = Vec::with_capacity(pools.len());
+    for pool in pools {
+        let mut served = pool.served;
         per_pool.push(PoolReport {
             class: pool.spec.class,
             models: pool.profile.models.clone(),
@@ -1175,7 +1188,7 @@ fn simulate_plan(
             total: LatencyStats::from_samples(&mut served.total),
             slo_attained: served.slo_attained,
         });
-        logs.push(pool.pool.log);
+        plans.push(pool.plan.unwrap_or_default());
     }
     let report = FleetReport {
         route: spec.route,
@@ -1200,7 +1213,7 @@ fn simulate_plan(
         replayed_frames: 0,
         host_seconds: 0.0,
     };
-    (report, logs)
+    (report, plans)
 }
 
 /// Simulate a fleet trace against pool profiles without touching a SoC
@@ -1230,7 +1243,7 @@ pub fn simulate(
     soc_hz: u64,
     tracer: &Tracer,
 ) -> FleetReport {
-    simulate_plan(trace, profiles, spec, names, soc_hz, tracer).0
+    simulate_plan(trace, profiles, spec, names, soc_hz, tracer, false).0
 }
 
 /// One pool's compiled-and-calibrated runtime state.
@@ -1420,8 +1433,15 @@ impl Fleet {
         let start = Instant::now();
         let trace = self.trace(spec);
         let profiles: Vec<PoolProfile> = self.pools.iter().map(|p| p.profile.clone()).collect();
-        let (mut report, _) =
-            simulate_plan(&trace, &profiles, spec, &self.names, self.soc_hz, tracer);
+        let (mut report, _) = simulate_plan(
+            &trace,
+            &profiles,
+            spec,
+            &self.names,
+            self.soc_hz,
+            tracer,
+            false,
+        );
         report.host_seconds = start.elapsed().as_secs_f64();
         Ok(report)
     }
@@ -1469,17 +1489,24 @@ impl Fleet {
         let start = Instant::now();
         let trace = self.trace(spec);
         let profiles: Vec<PoolProfile> = self.pools.iter().map(|p| p.profile.clone()).collect();
-        let (mut report, logs) =
-            simulate_plan(&trace, &profiles, spec, &self.names, self.soc_hz, tracer);
+        let (mut report, plans) = simulate_plan(
+            &trace,
+            &profiles,
+            spec,
+            &self.names,
+            self.soc_hz,
+            tracer,
+            true,
+        );
         // Sample K evenly-spaced windows of W consecutive dispatches
         // per pool (fewer when a pool dispatched less than that).
         let mut jobs = Vec::new();
-        for (rt, log) in self.pools.iter().zip(&logs) {
-            if log.is_empty() {
+        for (rt, plan) in self.pools.iter().zip(&plans) {
+            if plan.is_empty() {
                 continue;
             }
-            let w = spec.window_frames.min(log.len());
-            let span = log.len() - w;
+            let w = spec.window_frames.min(plan.len());
+            let span = plan.len() - w;
             let mut prev = None;
             for j in 0..spec.spot_windows {
                 let s = if spec.spot_windows == 1 {
@@ -1494,7 +1521,7 @@ impl Fleet {
                 jobs.push(ReplayJob {
                     config: &rt.config,
                     artifacts: &rt.artifacts,
-                    bursts: vec![log[s..s + w].to_vec()],
+                    bursts: vec![plan[s..s + w].to_vec()],
                 });
             }
         }

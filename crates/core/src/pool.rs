@@ -12,8 +12,11 @@
 //! * the serial and pipelined worker steps, and the serial chaos path
 //!   (fault lottery, watchdog, retries, crash failover);
 //! * per-worker span emission;
-//! * the [`Dispatch`] log: every served frame in dispatch order, which
-//!   both the reports and the real-SoC [`replay`] consume.
+//! * the [`Dispatch`] log of frames served since the caller last
+//!   [took](Pool::served) them, in dispatch order. Callers fold each
+//!   batch into their records and statistics right away, and keep the
+//!   [`Planned`] frames a real-SoC [`replay`] needs only when they will
+//!   replay: a plan-only run holds no per-frame log.
 //!
 //! An arrival goes straight to the lowest-index idle worker; queued
 //! work goes to the earliest-free worker (lowest index on ties).
@@ -71,15 +74,33 @@ impl Dispatch {
     pub(crate) fn total(&self) -> u64 {
         self.queue_wait.saturating_add(self.service)
     }
+
+    /// What a replay of this frame needs.
+    pub(crate) fn planned(&self) -> Planned {
+        Planned {
+            request: self.request,
+            model: self.model,
+            predicted: self.predicted,
+        }
+    }
 }
 
-/// Event-driven state of one simulated worker.
+/// A served frame as the real-SoC [`replay`] needs it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Planned {
+    /// Index of the request in the trace.
+    pub request: usize,
+    /// Pool-local model slot.
+    pub model: usize,
+    /// The frame latency the replay must reproduce.
+    pub predicted: u64,
+}
+
+/// Event-driven state of one simulated worker, apart from its clock.
 #[derive(Debug, Clone)]
 pub(crate) struct Worker {
-    /// When the worker's next decision point occurs.
-    pub free_at: u64,
     /// Pipelined mode: the `(request, model)` whose input is (being)
-    /// staged and whose compute starts at `free_at`.
+    /// staged and whose compute starts at the worker's clock.
     staged: Option<(usize, usize)>,
     /// Completion cycle of the previous frame in the open burst.
     burst_prev_completion: u64,
@@ -201,10 +222,14 @@ pub(crate) struct Pool<'a> {
     queued: usize,
     /// Round-robin rotation cursor.
     cursor: usize,
+    /// When each worker's next decision point occurs. Kept apart from
+    /// `workers`: dispatch and the fleet balancer scan only the clocks.
+    clocks: Vec<u64>,
     pub workers: Vec<Worker>,
-    pub chaos: Option<Chaos>,
-    /// Every served frame, in dispatch order.
-    pub log: Vec<Dispatch>,
+    /// Boxed so the fault-free path moves a pointer, not the state.
+    pub chaos: Option<Box<Chaos>>,
+    /// Frames served since the last [`served`](Self::served) call.
+    log: Vec<Dispatch>,
     tracer: &'a Tracer,
     labels: Vec<&'a str>,
     worker_track: String,
@@ -226,8 +251,9 @@ impl<'a> Pool<'a> {
             queues: vec![VecDeque::new(); setup.service.models()],
             queued: 0,
             cursor: 0,
+            clocks: Vec::with_capacity(setup.workers),
             workers: Vec::with_capacity(setup.workers),
-            chaos: setup.chaos,
+            chaos: setup.chaos.map(Box::new),
             log: Vec::new(),
             tracer,
             labels: setup.labels,
@@ -247,6 +273,16 @@ impl<'a> Pool<'a> {
         self.queued
     }
 
+    /// Each worker's clock: when its next decision point occurs.
+    pub(crate) fn clocks(&self) -> &[u64] {
+        &self.clocks
+    }
+
+    /// Take the frames served since the last call, in dispatch order.
+    pub(crate) fn served(&mut self) -> std::vec::Drain<'_, Dispatch> {
+        self.log.drain(..)
+    }
+
     /// Add a worker that is warm (free) at `ready_at`; a warm-up from
     /// `from` shows as a `rewarm` span on its new track.
     pub(crate) fn add_worker(&mut self, from: u64, ready_at: u64) {
@@ -262,8 +298,8 @@ impl<'a> Pool<'a> {
             TrackId::NONE
         };
         self.serial += 1;
+        self.clocks.push(ready_at);
         self.workers.push(Worker {
-            free_at: ready_at,
             staged: None,
             burst_prev_completion: 0,
             burst_start: false,
@@ -277,11 +313,12 @@ impl<'a> Pool<'a> {
     /// dispatch, and leaves.
     pub(crate) fn retire_busiest(&mut self) {
         let mut victim = 0;
-        for (i, w) in self.workers.iter().enumerate() {
-            if w.free_at > self.workers[victim].free_at {
+        for (i, &clock) in self.clocks.iter().enumerate() {
+            if clock > self.clocks[victim] {
                 victim = i;
             }
         }
+        self.clocks.remove(victim);
         self.workers.remove(victim);
     }
 
@@ -290,13 +327,12 @@ impl<'a> Pool<'a> {
     /// lowest-index idle worker, else into the queue if it has room.
     /// `false` means the request is dropped.
     pub(crate) fn admit(&mut self, request: usize, model: usize, at: u64) -> bool {
-        let idle = self
-            .workers
-            .iter()
-            .position(|w| w.free_at <= at && w.staged.is_none());
+        // After `advance(at)` a worker with a staged frame has a clock
+        // past `at`, so a clock at or before `at` means idle.
+        let idle = self.clocks.iter().position(|&clock| clock <= at);
         if let Some(w) = idle {
             // The idle worker's clock catches up to now.
-            self.workers[w].free_at = at;
+            self.clocks[w] = at;
             self.enqueue(model, request);
             self.step(w);
             true
@@ -311,15 +347,20 @@ impl<'a> Pool<'a> {
     /// Let every worker process its decision points up to `until`.
     pub(crate) fn advance(&mut self, until: u64) {
         loop {
-            if self.queued == 0 && !self.pipelined {
-                // A serial worker only wakes for queued work.
-                return;
-            }
-            let ready = (0..self.workers.len())
-                .filter(|&w| self.workers[w].staged.is_some() || self.queued > 0)
-                .min_by_key(|&w| (self.workers[w].free_at, w));
+            // The earliest ready worker, ties to the lowest index: with
+            // work queued every worker is ready; otherwise only a
+            // pipelined worker with a staged frame is.
+            let ready = if self.queued > 0 {
+                (0..self.clocks.len()).min_by_key(|&w| self.clocks[w])
+            } else if self.pipelined {
+                (0..self.clocks.len())
+                    .filter(|&w| self.workers[w].staged.is_some())
+                    .min_by_key(|&w| self.clocks[w])
+            } else {
+                None
+            };
             match ready {
-                Some(w) if self.workers[w].free_at <= until => self.step(w),
+                Some(w) if self.clocks[w] <= until => self.step(w),
                 _ => break,
             }
         }
@@ -417,7 +458,7 @@ impl<'a> Pool<'a> {
         let (m, req) = self.pop(None).expect("step called with work");
         let svc = self.service.preload[m] + self.service.compute[m];
         let arrival = self.requests[req].arrival;
-        let start = self.workers[w].free_at.max(arrival);
+        let start = self.clocks[w].max(arrival);
         self.serial_spans(w, m, req, start, start + svc);
         self.log.push(Dispatch {
             request: req,
@@ -432,14 +473,14 @@ impl<'a> Pool<'a> {
         let worker = &mut self.workers[w];
         worker.stats.frames += 1;
         worker.stats.busy_cycles += svc;
-        worker.free_at = start + svc;
+        self.clocks[w] = start + svc;
     }
 
     /// Pipelined step: either start a burst (dequeue and stream the
     /// fill), or compute the staged request while the next pick's
     /// input streams behind it.
     fn step_pipelined(&mut self, w: usize) {
-        let now = self.workers[w].free_at;
+        let now = self.clocks[w];
         let Some((req, m)) = self.workers[w].staged.take() else {
             // Burst start: dequeue and stream the fill.
             let (m, req) = self.pop(None).expect("step called with work");
@@ -454,7 +495,7 @@ impl<'a> Pool<'a> {
             worker.burst_start = true;
             worker.burst_prev_completion = now;
             worker.stats.busy_cycles += fill;
-            worker.free_at = now + fill;
+            self.clocks[w] = now + fill;
             return;
         };
         let next = self.pop(Some(m));
@@ -499,7 +540,7 @@ impl<'a> Pool<'a> {
         worker.burst_prev_completion = completion;
         worker.stats.frames += 1;
         worker.stats.busy_cycles += window;
-        worker.free_at = now + window;
+        self.clocks[w] = now + window;
     }
 
     /// Serial step under chaos: the worker holds the request through a
@@ -516,7 +557,7 @@ impl<'a> Pool<'a> {
         // still behind the request's arrival (it sat idle through the
         // crash and its clock never advanced); the frame physically
         // starts once both the worker and the request exist.
-        let dispatch = self.workers[w].free_at.max(arrival);
+        let dispatch = self.clocks[w].max(arrival);
         let mut start = dispatch;
         let mut served: Option<u64> = None;
         let mut crashed = false;
@@ -651,15 +692,14 @@ impl<'a> Pool<'a> {
             // only burned the failed attempts.
             start
         };
-        let worker = &mut self.workers[w];
-        worker.stats.busy_cycles += free - dispatch;
-        worker.free_at = free;
+        self.workers[w].stats.busy_cycles += free - dispatch;
+        self.clocks[w] = free;
     }
 }
 
 /// Served-request samples of one group (a whole run, one model, one
-/// pool), gathered in one pass over the dispatch logs before they are
-/// summarized into [`crate::serve::LatencyStats`].
+/// pool), gathered as frames are served and summarized into
+/// [`crate::serve::LatencyStats`] at the end.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Samples {
     pub queue_wait: Vec<u64>,
@@ -695,7 +735,7 @@ pub(crate) struct ReplayJob<'a> {
     /// Indexed by pool-local model slot.
     pub artifacts: &'a [Arc<Artifacts>],
     /// Each burst replays as one `run_sequence` (one pipeline fill).
-    pub bursts: Vec<Vec<Dispatch>>,
+    pub bursts: Vec<Vec<Planned>>,
 }
 
 /// Replay every job on its own SoC (fanned out across threads),

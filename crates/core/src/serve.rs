@@ -78,7 +78,7 @@ use rvnv_obs::{Json, MetricsRegistry, Tracer};
 
 use crate::batch::{input_slots, BatchError, Policy};
 use crate::firmware::Firmware;
-use crate::pool::{replay, Chaos, Dispatch, Order, Pool, PoolSetup, ReplayJob, Samples};
+use crate::pool::{replay, Chaos, Order, Planned, Pool, PoolSetup, ReplayJob, Samples};
 use crate::soc::{Soc, SocConfig};
 
 /// How request arrivals are spaced in modeled time.
@@ -993,10 +993,11 @@ impl ServeReport {
 }
 
 /// Run the queueing system over `trace` in modeled time: one
-/// [`Pool`] with no router. Returns the report plus the pool's dispatch
-/// log (what [`Server::serve`] replays). Spans land in `tracer`;
-/// emission only records values computed anyway, which keeps the traced
-/// run bit- and cycle-identical to the untraced one.
+/// [`Pool`] with no router. Returns the report plus, when `keep_plan`,
+/// each worker's served frames in bursts (what [`Server::serve`]
+/// replays). Spans land in `tracer`; emission only records values
+/// computed anyway, which keeps the traced run bit- and cycle-identical
+/// to the untraced one.
 fn simulate_plan(
     trace: &RequestTrace,
     service: &ServiceModel,
@@ -1004,7 +1005,8 @@ fn simulate_plan(
     names: &[String],
     soc_hz: u64,
     tracer: &Tracer,
-) -> (ServeReport, Vec<Dispatch>) {
+    keep_plan: bool,
+) -> (ServeReport, Vec<Vec<Vec<Planned>>>) {
     assert_eq!(
         names.len(),
         service.models(),
@@ -1022,13 +1024,6 @@ fn simulate_plan(
         queue_track: "queue".into(),
     };
     let mut pool = Pool::new(setup, &trace.requests, tracer);
-    for (i, r) in trace.requests.iter().enumerate() {
-        pool.advance(r.arrival);
-        // A refused request stays dropped.
-        pool.admit(i, r.model, r.arrival);
-    }
-    pool.advance(u64::MAX);
-
     let slo_cycles = spec.slo_cycles(soc_hz);
     let mut records: Vec<RequestRecord> = trace
         .requests
@@ -1041,16 +1036,38 @@ fn simulate_plan(
         .collect();
     let mut all = Samples::default();
     let mut per_model = vec![Samples::default(); names.len()];
-    for d in &pool.log {
-        records[d.request].outcome = RequestOutcome::Served {
-            worker: d.worker,
-            queue_wait: d.queue_wait,
-            service: d.service,
-            completion: d.completion,
-        };
-        all.add(d, slo_cycles);
-        per_model[d.model].add(d, slo_cycles);
+    // Each worker's frames in dispatch order, split into bursts: a
+    // serial worker runs one burst, a pipelined one a burst per
+    // pipeline fill.
+    let mut bursts: Vec<Vec<Vec<Planned>>> = vec![Vec::new(); spec.workers];
+    let mut collect = |pool: &mut Pool<'_>| {
+        for d in pool.served() {
+            records[d.request].outcome = RequestOutcome::Served {
+                worker: d.worker,
+                queue_wait: d.queue_wait,
+                service: d.service,
+                completion: d.completion,
+            };
+            all.add(&d, slo_cycles);
+            per_model[d.model].add(&d, slo_cycles);
+            if keep_plan {
+                let worker = &mut bursts[d.worker];
+                if d.burst_start || worker.is_empty() {
+                    worker.push(Vec::new());
+                }
+                worker.last_mut().expect("burst opened").push(d.planned());
+            }
+        }
+    };
+    for (i, r) in trace.requests.iter().enumerate() {
+        pool.advance(r.arrival);
+        // A refused request stays dropped.
+        pool.admit(i, r.model, r.arrival);
+        collect(&mut pool);
     }
+    pool.advance(u64::MAX);
+    collect(&mut pool);
+
     let mut offered = vec![0u64; names.len()];
     for r in &trace.requests {
         offered[r.model] += 1;
@@ -1095,7 +1112,7 @@ fn simulate_plan(
         replay_divergence: 0,
         host_seconds: 0.0,
     };
-    (report, pool.log)
+    (report, bursts)
 }
 
 /// Simulate serving `trace` against a calibrated (or synthetic)
@@ -1123,7 +1140,7 @@ pub fn simulate(
     soc_hz: u64,
     tracer: &Tracer,
 ) -> ServeReport {
-    simulate_plan(trace, service, spec, names, soc_hz, tracer).0
+    simulate_plan(trace, service, spec, names, soc_hz, tracer, false).0
 }
 
 /// An inference server over a resident model set: calibrates the
@@ -1222,6 +1239,7 @@ impl Server {
             &self.names(),
             self.config.soc_hz,
             tracer,
+            false,
         );
         report.host_seconds = start.elapsed().as_secs_f64();
         Ok(report)
@@ -1275,25 +1293,15 @@ impl Server {
         spec.validate()?;
         let start = Instant::now();
         let trace = self.trace(spec);
-        let (mut report, log) = simulate_plan(
+        let (mut report, bursts) = simulate_plan(
             &trace,
             &self.service,
             spec,
             &self.names(),
             self.config.soc_hz,
             tracer,
+            true,
         );
-        // Each worker's frames in dispatch order, split into bursts: a
-        // serial worker runs one burst, a pipelined one a burst per
-        // pipeline fill.
-        let mut bursts: Vec<Vec<Vec<Dispatch>>> = vec![Vec::new(); spec.workers];
-        for d in log {
-            let worker = &mut bursts[d.worker];
-            if d.burst_start || worker.is_empty() {
-                worker.push(Vec::new());
-            }
-            worker.last_mut().expect("burst opened").push(d);
-        }
         let jobs: Vec<ReplayJob<'_>> = bursts
             .into_iter()
             .filter(|b| !b.is_empty())
