@@ -24,6 +24,14 @@
 //! padding, stride, grouping, depthwise and fully-clipped windows, in
 //! both INT8 and FP16 (where the summation order is the contract).
 //!
+//! The zoo's compiled artifacts are pinned too: the nine
+//! configurations of the `zoo_compile` benchmark (Table II INT8
+//! unfused with one calibration input, Table III FP16) are compiled
+//! and their `.cfg` command, weight-image and firmware fingerprints
+//! checked against the values recorded when that benchmark was made.
+//! INT8 calibration runs the golden executor, so this also pins the
+//! golden convolution's summation order on real models.
+//!
 //! Finally, the observability layer's honesty contract is gated the
 //! same way: firmware runs and serve simulations with an armed
 //! `rvnv_obs::Tracer` must be bit- and cycle-identical to untraced
@@ -32,6 +40,7 @@
 use rvnv_bench::inference_fingerprint;
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::{compile, Artifacts, CompileOptions};
+use rvnv_nn::hash::Fnv;
 use rvnv_nn::zoo::Model;
 use rvnv_nn::Tensor;
 use rvnv_nvdla::config::Precision;
@@ -160,6 +169,96 @@ fn check_soc_kernels() {
             cold_on.cycles,
             cold_on.instructions,
         );
+    }
+}
+
+/// `(key, cfg, weights, firmware)` artifact fingerprints of the
+/// `zoo_compile` benchmark's nine configurations, as recorded there.
+const ZOO_RECORDED: [(&str, u64, u64, u64); 9] = [
+    (
+        "II/LeNet-5",
+        0x1cef_77c9_e8fc_c8e7,
+        0x30e3_53ab_f84a_8d17,
+        0x549e_cfb3_0e39_d01e,
+    ),
+    (
+        "II/ResNet-18",
+        0x456b_4e32_879a_8d2f,
+        0xc3aa_c5e5_c774_19f5,
+        0xa2fe_d944_77d1_d7dc,
+    ),
+    (
+        "II/ResNet-50",
+        0x69d0_2564_ada5_8617,
+        0xd8ff_9afa_ed2d_73b3,
+        0x54c4_e4dd_8899_5f8c,
+    ),
+    (
+        "III/LeNet-5",
+        0x1aa0_78d0_e865_fa45,
+        0x301e_1ed7_0940_66cf,
+        0x224b_bf35_c84a_33a2,
+    ),
+    (
+        "III/ResNet-18",
+        0x39ec_9a41_0500_ac49,
+        0xfcfa_8f8c_ea87_d702,
+        0xa120_da37_ed9a_780b,
+    ),
+    (
+        "III/ResNet-50",
+        0x216e_f8a9_341e_a59d,
+        0xbc40_a11a_1541_8feb,
+        0xa571_e38a_fdaa_52af,
+    ),
+    (
+        "III/MobileNet",
+        0xe113_64f0_828b_e73a,
+        0xb48c_7ad2_ab8d_84be,
+        0x561f_b7ae_901a_18a3,
+    ),
+    (
+        "III/GoogleNet",
+        0xf86e_3c91_068e_44cf,
+        0xb81d_ace7_a894_97c7,
+        0x113f_a277_edc1_699f,
+    ),
+    (
+        "III/AlexNet",
+        0x2c57_e1ab_8175_92f1,
+        0xfe01_b891_88c5_3a1e,
+        0x7ac6_1cd8_1bd1_4213,
+    ),
+];
+
+/// Compile the Table II (INT8, unfused, one calibration input) and
+/// Table III (FP16) zoo and check every artifact fingerprint.
+fn check_zoo_artifacts() {
+    let mut int8 = CompileOptions::int8().unfused();
+    int8.calib_inputs = 1;
+    let fp16 = CompileOptions::fp16();
+    let configs = Model::NV_SMALL
+        .iter()
+        .map(|&m| ("II", m, &int8))
+        .chain(Model::ALL.iter().map(|&m| ("III", m, &fp16)));
+    for ((table, model, opt), &(key, cfg, weights, firmware)) in configs.zip(&ZOO_RECORDED) {
+        assert_eq!(format!("{table}/{}", model.name()), key, "config order");
+        let artifacts = compile(&model.build(1), opt).expect("zoo compile");
+        let fw = Firmware::build(&artifacts).expect("zoo firmware");
+        let mut h = Fnv::new();
+        for c in &artifacts.commands {
+            h.str(&c.to_string());
+        }
+        let got_cfg = h.finish();
+        let mut h = Fnv::new();
+        h.bytes(&fw.image.bytes());
+        let got = (got_cfg, artifacts.weights.fingerprint(), h.finish());
+        assert_eq!(
+            got,
+            (cfg, weights, firmware),
+            "{key}: artifact fingerprints (cfg, weights, firmware) moved"
+        );
+        println!("{key:<14} {cfg:016x} {weights:016x} {firmware:016x}  ok");
     }
 }
 
@@ -453,6 +552,7 @@ fn check_conv_kernel() {
 fn main() {
     check_soc_kernels();
     check_conv_kernel();
+    check_zoo_artifacts();
     check_tracing_invisible();
     println!("determinism fingerprint: all fast-kernel paths are architecturally invisible");
 }
