@@ -1,5 +1,7 @@
 //! Simulator-kernel benches: decoded-block cache + MMIO read lease on
-//! the ISS side, blocked vs reference convolution on the engine side.
+//! the ISS side, the lane convolution kernel vs its naive oracle on the
+//! engine side (INT8 dense and depthwise) and in the golden executor
+//! (a ResNet-50 3×3 layer).
 //!
 //! Every group asserts bit-identical architectural results (the
 //! determinism fingerprint: output bytes + instructions + cycles)
@@ -9,12 +11,13 @@
 //! example.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rvnv_bench::inference_fingerprint;
+use rvnv_bench::{conv_desc, inference_fingerprint};
 use rvnv_compiler::{compile, CompileOptions};
+use rvnv_nn::graph::ConvParams;
+use rvnv_nn::tensor::WeightTensor;
 use rvnv_nn::zoo::Model;
-use rvnv_nn::Tensor;
+use rvnv_nn::{Shape, Tensor};
 use rvnv_nvdla::config::Precision;
-use rvnv_nvdla::descriptor::ConvDesc;
 use rvnv_nvdla::engines::conv;
 use rvnv_soc::firmware::Firmware;
 use rvnv_soc::soc::{Soc, SocConfig};
@@ -78,51 +81,81 @@ fn bench_iss_kernels(c: &mut Criterion) {
 }
 
 fn bench_conv_kernel(c: &mut Criterion) {
-    // LeNet-5 conv2: the model's heaviest convolution.
-    let d = ConvDesc {
-        src: 0,
-        in_w: 12,
-        in_h: 12,
-        in_c: 6,
-        wt_addr: 0,
-        wt_bytes: 16 * 6 * 25,
+    let cases = [
+        // LeNet-5 conv2: the model's heaviest convolution.
+        (
+            "lenet5_conv2",
+            conv_desc(6, 12, 16, 5, 1, 0, 1, Precision::Int8),
+        ),
+        // A MobileNet depthwise 3×3: one of the kernel's eight lanes used.
+        (
+            "mobilenet_dw",
+            conv_desc(512, 14, 512, 3, 1, 1, 512, Precision::Int8),
+        ),
+    ];
+    let mut g = c.benchmark_group("sim_kernels_conv");
+    for (name, d) in cases {
+        let feature: Vec<u8> = (0..d.in_c * d.in_h * d.in_w)
+            .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+            .collect();
+        let weights: Vec<u8> = (0..d.wt_bytes)
+            .map(|i| (i.wrapping_mul(17) >> 2) as u8)
+            .collect();
+
+        // Bit-exactness gate before any timing.
+        let fast = conv::compute(&d, &feature, &weights);
+        let slow = conv::compute_reference(&d, &feature, &weights);
+        assert_eq!(
+            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{name}: lane conv diverged from the reference"
+        );
+        g.bench_function(&format!("{name}_lanes"), |b| {
+            b.iter(|| conv::compute(&d, &feature, &weights))
+        });
+        g.bench_function(&format!("{name}_reference"), |b| {
+            b.iter(|| conv::compute_reference(&d, &feature, &weights))
+        });
+    }
+    g.finish();
+}
+
+fn bench_golden_conv(c: &mut Criterion) {
+    // ResNet-50 res3 3×3: 128 → 128 channels on 28×28, pad 1.
+    let p = ConvParams {
+        weights: WeightTensor::random(128, 128, 3, 3, 1),
+        bias: (0..128).map(|i| i as f32 * 1e-3).collect(),
         stride: 1,
-        pad: 0,
-        out_w: 8,
-        out_h: 8,
-        out_c: 16,
-        kw: 5,
-        kh: 5,
+        pad: 1,
         groups: 1,
-        in_scale: 0.031,
-        wt_scale: 0.27,
-        precision: Precision::Int8,
     };
-    let feature: Vec<u8> = (0..d.in_c * d.in_h * d.in_w)
-        .map(|i| (i.wrapping_mul(31) >> 3) as u8)
-        .collect();
-    let weights: Vec<u8> = (0..d.wt_bytes)
-        .map(|i| (i.wrapping_mul(17) >> 2) as u8)
-        .collect();
+    let x = Tensor::random(Shape::new(128, 28, 28), 2);
+    let out = Shape::new(128, 28, 28);
 
     // Bit-exactness gate before any timing.
-    let fast = conv::compute(&d, &feature, &weights);
-    let slow = conv::compute_reference(&d, &feature, &weights);
+    let fast = rvnv_nn::conv::golden(&x, &p, out);
+    let slow = rvnv_nn::conv::golden_reference(&x, &p, out);
     assert_eq!(
-        fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "blocked conv diverged from the reference"
+        fast.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        slow.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "golden lane conv diverged from the reference"
     );
 
-    let mut g = c.benchmark_group("sim_kernels_conv");
-    g.bench_function("blocked", |b| {
-        b.iter(|| conv::compute(&d, &feature, &weights))
+    let mut g = c.benchmark_group("sim_kernels_golden_conv");
+    g.sample_size(10);
+    g.bench_function("resnet50_res3_lanes", |b| {
+        b.iter(|| rvnv_nn::conv::golden(&x, &p, out))
     });
-    g.bench_function("reference", |b| {
-        b.iter(|| conv::compute_reference(&d, &feature, &weights))
+    g.bench_function("resnet50_res3_reference", |b| {
+        b.iter(|| rvnv_nn::conv::golden_reference(&x, &p, out))
     });
     g.finish();
 }
 
-criterion_group!(sim_kernels, bench_iss_kernels, bench_conv_kernel);
+criterion_group!(
+    sim_kernels,
+    bench_iss_kernels,
+    bench_conv_kernel,
+    bench_golden_conv
+);
 criterion_main!(sim_kernels);

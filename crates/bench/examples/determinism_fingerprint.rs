@@ -1,7 +1,7 @@
 //! Determinism-fingerprint gate for the fast simulator kernels.
 //!
 //! The decoded-block cache, the MMIO read lease with poll-loop
-//! fast-forward, and the blocked convolution kernel are host-side
+//! fast-forward, and the lane convolution kernel are host-side
 //! speedups only: they must not change a single modeled cycle, retired
 //! instruction, or output byte. This example *proves* that for a set
 //! of real firmwares and convolution shapes, and CI runs it as a hard
@@ -19,7 +19,7 @@
 //!   waits agree exactly;
 //! * a fully warm run decodes nothing: zero block-cache misses.
 //!
-//! Separately, the blocked convolution kernel is checked bit-for-bit
+//! Separately, the lane convolution kernel is checked bit-for-bit
 //! against the naive tap-at-a-time reference over shapes covering
 //! padding, stride, grouping, depthwise and fully-clipped windows, in
 //! both INT8 and FP16 (where the summation order is the contract).
@@ -37,14 +37,13 @@
 //! `rvnv_obs::Tracer` must be bit- and cycle-identical to untraced
 //! ones, while recording a structurally valid, nonempty trace.
 
-use rvnv_bench::inference_fingerprint;
+use rvnv_bench::{conv_desc, inference_fingerprint};
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::{compile, Artifacts, CompileOptions};
 use rvnv_nn::hash::Fnv;
 use rvnv_nn::zoo::Model;
 use rvnv_nn::Tensor;
 use rvnv_nvdla::config::Precision;
-use rvnv_nvdla::descriptor::ConvDesc;
 use rvnv_nvdla::engines::conv;
 use rvnv_soc::firmware::Firmware;
 use rvnv_soc::soc::{InferenceResult, Soc, SocConfig};
@@ -475,39 +474,6 @@ fn strip_f16_nans(bytes: &mut [u8]) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn conv_desc(
-    in_c: u32,
-    in_hw: u32,
-    out_c: u32,
-    k: u32,
-    stride: u32,
-    pad: u32,
-    groups: u32,
-    precision: Precision,
-) -> ConvDesc {
-    let out_hw = (in_hw + 2 * pad - k) / stride + 1;
-    ConvDesc {
-        src: 0,
-        in_w: in_hw,
-        in_h: in_hw,
-        in_c,
-        wt_addr: 0,
-        wt_bytes: out_c * (in_c / groups) * k * k * precision.bytes(),
-        stride,
-        pad,
-        out_w: out_hw,
-        out_h: out_hw,
-        out_c,
-        kw: k,
-        kh: k,
-        groups,
-        in_scale: 0.031,
-        wt_scale: 0.27,
-        precision,
-    }
-}
-
 fn check_conv_kernel() {
     let shapes = [
         conv_desc(1, 3, 1, 2, 1, 0, 1, Precision::Int8),
@@ -541,12 +507,12 @@ fn check_conv_kernel() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "conv shape {i} output {j}: blocked {a} vs reference {b}"
+                "conv shape {i} output {j}: lanes {a} vs reference {b}"
             );
         }
         outputs += fast.len();
     }
-    println!("conv blocked == reference bit-for-bit across {outputs} outputs  ok");
+    println!("conv lanes == reference bit-for-bit across {outputs} outputs  ok");
 }
 
 fn main() {

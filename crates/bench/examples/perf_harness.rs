@@ -1,7 +1,7 @@
 //! Host-performance harness for the fast simulator kernels.
 //!
 //! Measures what the decoded-block cache, the MMIO read lease with
-//! poll-loop fast-forward, and the blocked convolution kernel buy on
+//! poll-loop fast-forward, and the lane convolution kernel buy on
 //! the host, *after* proving they change nothing architectural:
 //! every configuration is fingerprint-checked against the slow path
 //! before a single timing sample is taken (the full matrix lives in
@@ -11,18 +11,20 @@
 //! Output is a table ready to paste into `docs/BASELINES.md`: warm
 //! functional and timing-only LeNet-5 inference with the kernels off
 //! (the pre-optimization baseline), with only the ISS-side kernels on,
-//! and with everything on, plus a blocked-vs-reference convolution
-//! microbenchmark. Wall-clock numbers are host-dependent; the *ratios*
+//! and with everything on, plus lane-kernel-vs-reference convolution
+//! microbenchmarks: the engine's INT8 conv on a dense and a depthwise
+//! shape, and the golden executor's conv on a ResNet-50 3×3 layer. Wall-clock numbers are host-dependent; the *ratios*
 //! are what the acceptance criterion pins (warm functional ≥5×).
 
 use std::time::Instant;
 
-use rvnv_bench::{inference_fingerprint, print_table};
+use rvnv_bench::{conv_desc, inference_fingerprint, print_table};
 use rvnv_compiler::{compile, CompileOptions};
+use rvnv_nn::graph::ConvParams;
+use rvnv_nn::tensor::WeightTensor;
 use rvnv_nn::zoo::Model;
-use rvnv_nn::Tensor;
+use rvnv_nn::{Shape, Tensor};
 use rvnv_nvdla::config::Precision;
-use rvnv_nvdla::descriptor::ConvDesc;
 use rvnv_nvdla::engines::conv;
 use rvnv_soc::firmware::Firmware;
 use rvnv_soc::soc::{Soc, SocConfig};
@@ -114,44 +116,70 @@ fn main() {
         format!("{:.1}x", timing_off / timing_on),
     ]);
 
-    // Convolution kernel in isolation: LeNet-5's largest layer shape.
-    let d = ConvDesc {
-        src: 0,
-        in_w: 12,
-        in_h: 12,
-        in_c: 6,
-        wt_addr: 0,
-        wt_bytes: 16 * 6 * 25,
+    // Engine convolution in isolation: LeNet-5's largest layer shape
+    // and a MobileNet depthwise layer (one of eight lanes used).
+    let engine_cases = [
+        (
+            "lenet5 conv2",
+            conv_desc(6, 12, 16, 5, 1, 0, 1, Precision::Int8),
+            200,
+        ),
+        (
+            "mobilenet depthwise",
+            conv_desc(512, 14, 512, 3, 1, 1, 512, Precision::Int8),
+            20,
+        ),
+    ];
+    for (name, d, iters) in engine_cases {
+        let feature = vec![7u8; (d.in_c * d.in_h * d.in_w) as usize];
+        let weights = vec![3u8; d.wt_bytes as usize];
+        assert_eq!(
+            conv::compute(&d, &feature, &weights),
+            conv::compute_reference(&d, &feature, &weights),
+            "{name}: lane conv diverged from reference"
+        );
+        let conv_off = best_ms_per(5, iters, || {
+            std::hint::black_box(conv::compute_reference(&d, &feature, &weights));
+        });
+        let conv_on = best_ms_per(5, iters, || {
+            std::hint::black_box(conv::compute(&d, &feature, &weights));
+        });
+        rows.push(vec![
+            format!("engine int8 conv, {name} (reference vs lanes)"),
+            format!("{conv_off:.3}"),
+            format!("{conv_on:.3}"),
+            format!("{:.1}x", conv_off / conv_on),
+        ]);
+    }
+
+    // Golden convolution: a ResNet-50 res3 3×3 layer (128 → 128 on
+    // 28×28), the shape class INT8 calibration spends its time on.
+    let p = ConvParams {
+        weights: WeightTensor::random(128, 128, 3, 3, 1),
+        bias: (0..128).map(|i| i as f32 * 1e-3).collect(),
         stride: 1,
-        pad: 0,
-        out_w: 8,
-        out_h: 8,
-        out_c: 16,
-        kw: 5,
-        kh: 5,
+        pad: 1,
         groups: 1,
-        in_scale: 0.031,
-        wt_scale: 0.27,
-        precision: Precision::Int8,
     };
-    let feature = vec![7u8; (d.in_c * d.in_h * d.in_w) as usize];
-    let weights = vec![3u8; d.wt_bytes as usize];
+    let x = Tensor::random(Shape::new(128, 28, 28), 2);
+    let out = Shape::new(128, 28, 28);
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        conv::compute(&d, &feature, &weights),
-        conv::compute_reference(&d, &feature, &weights),
-        "blocked conv diverged from reference"
+        bits(&rvnv_nn::conv::golden(&x, &p, out)),
+        bits(&rvnv_nn::conv::golden_reference(&x, &p, out)),
+        "golden lane conv diverged from reference"
     );
-    let conv_off = best_ms_per(5, 200, || {
-        std::hint::black_box(conv::compute_reference(&d, &feature, &weights));
+    let golden_off = best_ms_per(3, 1, || {
+        std::hint::black_box(rvnv_nn::conv::golden_reference(&x, &p, out));
     });
-    let conv_on = best_ms_per(5, 200, || {
-        std::hint::black_box(conv::compute(&d, &feature, &weights));
+    let golden_on = best_ms_per(3, 3, || {
+        std::hint::black_box(rvnv_nn::conv::golden(&x, &p, out));
     });
     rows.push(vec![
-        "conv kernel (reference vs blocked)".into(),
-        format!("{conv_off:.3}"),
-        format!("{conv_on:.3}"),
-        format!("{:.1}x", conv_off / conv_on),
+        "golden conv, resnet50 res3 (reference vs lanes)".into(),
+        format!("{golden_off:.3}"),
+        format!("{golden_on:.3}"),
+        format!("{:.1}x", golden_off / golden_on),
     ]);
 
     print_table(
@@ -161,7 +189,7 @@ fn main() {
     );
     println!(
         "\nnote: 'cache off' disables the ISS-side kernels (block cache, read lease, \
-         fast-forward) but the blocked conv is always in; the naive-conv seed baseline \
+         fast-forward) but the lane conv kernel is always in; the naive-conv seed baseline \
          is recorded in docs/BASELINES.md."
     );
     println!(

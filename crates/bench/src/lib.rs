@@ -5,6 +5,8 @@ use rvnv_compiler::{compile, Artifacts, CompileOptions};
 use rvnv_nn::hash::Fnv;
 use rvnv_nn::stats::{ModelStats, Precision as NnPrecision};
 use rvnv_nn::zoo::Model;
+use rvnv_nvdla::config::Precision;
+use rvnv_nvdla::descriptor::ConvDesc;
 use rvnv_soc::soc::{InferenceResult, SocConfig};
 
 /// Determinism fingerprint of one simulated inference: a hash over
@@ -113,5 +115,42 @@ pub fn nv_full_vp_timing() -> DramTiming {
         controller: 4,
         row_bytes: 2048,
         bytes_per_beat: 4,
+    }
+}
+
+/// A convolution descriptor over a square input and kernel, with fixed
+/// input and weight scales: the shapes the conv-kernel benches and the
+/// determinism gate feed to the engine.
+#[allow(clippy::too_many_arguments)]
+#[must_use]
+pub fn conv_desc(
+    in_c: u32,
+    in_hw: u32,
+    out_c: u32,
+    k: u32,
+    stride: u32,
+    pad: u32,
+    groups: u32,
+    precision: Precision,
+) -> ConvDesc {
+    let out_hw = (in_hw + 2 * pad - k) / stride + 1;
+    ConvDesc {
+        src: 0,
+        in_w: in_hw,
+        in_h: in_hw,
+        in_c,
+        wt_addr: 0,
+        wt_bytes: out_c * (in_c / groups) * k * k * precision.bytes(),
+        stride,
+        pad,
+        out_w: out_hw,
+        out_h: out_hw,
+        out_c,
+        kw: k,
+        kh: k,
+        groups,
+        in_scale: 0.031,
+        wt_scale: 0.27,
+        precision,
     }
 }

@@ -7,6 +7,11 @@
 //! computed. Here the same equality must hold for networks nobody
 //! hand-tuned the compiler for.
 //!
+//! Before the SoC runs, the golden executor's activation of every conv
+//! node must equal the naive convolution oracle
+//! (`rvnv_nn::conv::golden_reference`) bit for bit: the lane kernel
+//! keeps each output's summation order, so not one bit may move.
+//!
 //! A plan that fails to build or compile is a passing case, not a
 //! counterexample — the generator only emits buildable plans, but the
 //! shrinker explores arbitrary layer subsets and must be free to cross
@@ -14,13 +19,47 @@
 
 use rvnv_compiler::codegen::{CodegenOptions, WaitMode};
 use rvnv_compiler::{compile, CompileOptions};
+use rvnv_nn::conv;
+use rvnv_nn::exec::Executor;
 use rvnv_nn::tensor::Tensor;
+use rvnv_nn::{Network, Op};
 use rvnv_soc::firmware::Firmware;
 use rvnv_soc::soc::{Soc, SocConfig};
 use rvnv_util::mix64;
 
 use crate::gen::{self, NetPlan};
 use crate::{shrink, FuzzTarget};
+
+/// Every conv node's golden activation against the naive oracle, by
+/// bit pattern. A network the executor rejects passes.
+fn golden_matches_oracle(net: &Network, input: &Tensor) -> Result<(), String> {
+    let Ok(exec) = Executor::try_new(net) else {
+        return Ok(());
+    };
+    let acts = exec
+        .run_all(input)
+        .map_err(|e| format!("golden run failed: {e}"))?;
+    for (node, act) in net.nodes().iter().zip(&acts) {
+        let Op::Conv2d(p) = &node.op else {
+            continue;
+        };
+        let want = conv::golden_reference(&acts[node.inputs[0].index()], p, act.shape());
+        let diverged = act
+            .data()
+            .iter()
+            .zip(want.data())
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        if let Some(i) = diverged {
+            return Err(format!(
+                "golden conv {} diverged from the naive oracle at element {i}: {} vs {}",
+                node.name,
+                act.data()[i],
+                want.data()[i]
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// The functional-vs-timing-only differential target.
 pub struct NetTarget;
@@ -37,6 +76,8 @@ impl FuzzTarget for NetTarget {
         let Ok(net) = plan.build() else {
             return Ok(());
         };
+        let input = Tensor::random(plan.input_shape(), mix64(plan.weight_seed));
+        golden_matches_oracle(&net, &input)?;
         let mut opt = CompileOptions::int8();
         opt.calib_inputs = 1;
         let Ok(artifacts) = compile(&net, &opt) else {
@@ -51,7 +92,6 @@ impl FuzzTarget for NetTarget {
         };
         let fw = Firmware::build_with(&artifacts, codegen)
             .map_err(|e| format!("firmware build failed on a compiled artifact: {e}"))?;
-        let input = Tensor::random(plan.input_shape(), mix64(plan.weight_seed));
         let bytes = artifacts.quantize_input(&input);
         let mut functional = Soc::new(SocConfig::zcu102_nv_small());
         let mut timing = Soc::new(SocConfig {

@@ -5,7 +5,8 @@
 //! the integration tests, exactly as the paper validates its SoC output
 //! against the NVDLA virtual platform.
 
-use crate::graph::{ConvParams, GraphError, Network, NodeId, Op, PoolKind};
+use crate::conv;
+use crate::graph::{GraphError, Network, NodeId, Op, PoolKind};
 use crate::tensor::{Shape, Tensor};
 
 /// Executes a network and retains every intermediate activation.
@@ -20,14 +21,21 @@ impl<'a> Executor<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the network's shapes are inconsistent; validate with
-    /// [`Network::infer_shapes`] first for a `Result`.
+    /// Panics if the network's shapes are inconsistent; use
+    /// [`Executor::try_new`] for a `Result`.
     #[must_use]
     pub fn new(net: &'a Network) -> Self {
-        let shapes = net
-            .infer_shapes()
-            .expect("network shapes must be consistent");
-        Executor { net, shapes }
+        Self::try_new(net).expect("network shapes must be consistent")
+    }
+
+    /// Prepare an executor, rejecting inconsistent networks.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`GraphError`] of [`Network::infer_shapes`].
+    pub fn try_new(net: &'a Network) -> Result<Self, GraphError> {
+        let shapes = net.infer_shapes()?;
+        Ok(Executor { net, shapes })
     }
 
     /// Inferred output shape of each node.
@@ -69,7 +77,7 @@ impl<'a> Executor<'a> {
             let get = |k: usize| -> &Tensor { &acts[node.inputs[k].index()] };
             let out = match &node.op {
                 Op::Input => input.clone(),
-                Op::Conv2d(p) => conv2d(get(0), p, out_shape),
+                Op::Conv2d(p) => conv::golden(get(0), p, out_shape),
                 Op::FullyConnected {
                     weights,
                     out,
@@ -112,41 +120,6 @@ impl<'a> Executor<'a> {
     }
 }
 
-fn conv2d(x: &Tensor, p: &ConvParams, out_shape: Shape) -> Tensor {
-    let mut y = Tensor::zeros(out_shape);
-    let in_shape = x.shape();
-    let (kh, kw) = (p.weights.kh, p.weights.kw);
-    let in_per_group = p.weights.in_c;
-    let out_per_group = p.weights.out_c / p.groups;
-    for oc in 0..out_shape.c {
-        let g = oc / out_per_group;
-        let in_base = g * in_per_group;
-        for oy in 0..out_shape.h {
-            for ox in 0..out_shape.w {
-                let mut acc = p.bias[oc];
-                for ic in 0..in_per_group {
-                    for ky in 0..kh {
-                        let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                        if iy < 0 || iy as usize >= in_shape.h {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                            if ix < 0 || ix as usize >= in_shape.w {
-                                continue;
-                            }
-                            acc += x.at(in_base + ic, iy as usize, ix as usize)
-                                * p.weights.at(oc, ic, ky, kx);
-                        }
-                    }
-                }
-                y.set(oc, oy, ox, acc);
-            }
-        }
-    }
-    y
-}
-
 fn fully_connected(x: &Tensor, weights: &[f32], out: usize, in_dim: usize, bias: &[f32]) -> Tensor {
     let mut y = Tensor::zeros(Shape::new(out, 1, 1));
     let xv = x.data();
@@ -169,7 +142,6 @@ fn pool(x: &Tensor, kind: PoolKind, k: usize, stride: usize, pad: usize, out: Sh
             for ox in 0..out.w {
                 let mut best = f32::NEG_INFINITY;
                 let mut sum = 0.0f32;
-                let mut count = 0usize;
                 for ky in 0..k {
                     let iy = (oy * stride + ky) as isize - pad as isize;
                     if iy < 0 || iy as usize >= s.h {
@@ -183,7 +155,6 @@ fn pool(x: &Tensor, kind: PoolKind, k: usize, stride: usize, pad: usize, out: Sh
                         let v = x.at(c, iy as usize, ix as usize);
                         best = best.max(v);
                         sum += v;
-                        count += 1;
                     }
                 }
                 let v = match kind {
@@ -191,7 +162,6 @@ fn pool(x: &Tensor, kind: PoolKind, k: usize, stride: usize, pad: usize, out: Sh
                     // Caffe averages over the full window including padding.
                     PoolKind::Avg => sum / (k * k) as f32,
                 };
-                let _ = count;
                 y.set(c, oy, ox, v);
             }
         }

@@ -334,7 +334,8 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`GraphError`] on inconsistent shapes (mismatched eltwise
-    /// inputs, FC dimension mismatch, kernel larger than input, …).
+    /// inputs, FC dimension mismatch, kernel larger than input, zero
+    /// stride or groups, out channels not divisible by groups, …).
     pub fn infer_shapes(&self) -> Result<Vec<Shape>, GraphError> {
         let mut shapes: Vec<Shape> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
@@ -347,6 +348,15 @@ impl Network {
                 Op::Input => self.input_shape,
                 Op::Conv2d(p) => {
                     let s = input_shape(0);
+                    if p.stride == 0 || p.groups == 0 {
+                        return Err(fail("conv stride and groups must be at least 1".into()));
+                    }
+                    if p.weights.out_c % p.groups != 0 {
+                        return Err(fail(format!(
+                            "conv out channels {} not divisible by {} groups",
+                            p.weights.out_c, p.groups
+                        )));
+                    }
                     if p.weights.in_c * p.groups != s.c {
                         return Err(fail(format!(
                             "conv expects {} input channels, got {}",
@@ -379,6 +389,9 @@ impl Network {
                 }
                 Op::Pool { k, stride, pad, .. } => {
                     let s = input_shape(0);
+                    if *stride == 0 {
+                        return Err(fail("pool stride must be at least 1".into()));
+                    }
                     if *k > s.h + 2 * pad || *k > s.w + 2 * pad {
                         return Err(fail(format!("pool kernel {k} larger than input {s}")));
                     }
@@ -597,5 +610,51 @@ mod tests {
         )
         .unwrap();
         assert!(net.infer_shapes().is_err());
+    }
+
+    fn grouped_conv(out_c: usize, in_c: usize, stride: usize, groups: usize) -> Op {
+        Op::Conv2d(ConvParams {
+            weights: WeightTensor::random(out_c, in_c, 3, 3, 1),
+            bias: vec![0.0; out_c],
+            stride,
+            pad: 1,
+            groups,
+        })
+    }
+
+    fn shape_error(op: Op, input: Shape) -> String {
+        let mut net = Network::new("t", input);
+        net.add("bad", op, &[net.input()]).unwrap();
+        net.infer_shapes().unwrap_err().to_string()
+    }
+
+    #[test]
+    fn conv_zero_stride_is_an_error() {
+        let e = shape_error(grouped_conv(4, 2, 0, 1), Shape::new(2, 8, 8));
+        assert!(e.contains("stride"), "{e}");
+    }
+
+    #[test]
+    fn conv_zero_groups_is_an_error() {
+        let e = shape_error(grouped_conv(4, 2, 1, 0), Shape::new(0, 8, 8));
+        assert!(e.contains("groups"), "{e}");
+    }
+
+    #[test]
+    fn conv_out_channels_must_divide_into_groups() {
+        let e = shape_error(grouped_conv(5, 1, 1, 2), Shape::new(2, 8, 8));
+        assert!(e.contains("not divisible"), "{e}");
+    }
+
+    #[test]
+    fn pool_zero_stride_is_an_error() {
+        let pool = Op::Pool {
+            kind: PoolKind::Max,
+            k: 2,
+            stride: 0,
+            pad: 0,
+        };
+        let e = shape_error(pool, Shape::new(1, 4, 4));
+        assert!(e.contains("stride"), "{e}");
     }
 }

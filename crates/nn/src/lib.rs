@@ -11,6 +11,8 @@
 //!   deterministic pseudo-random weights,
 //! * [`exec`] — a reference (golden) f32 executor used to verify the
 //!   NVDLA model's arithmetic,
+//! * [`conv`] — the one order-preserving convolution kernel, shared by
+//!   the golden executor and the NVDLA engine model, and its oracle,
 //! * [`quant`] — symmetric INT8 quantization with max-abs calibration
 //!   (the "calibration table" machinery the paper lists as future work),
 //! * `f16` — software half-precision floats ([`F16`]) for `nv_full` FP16 runs,
@@ -29,6 +31,7 @@
 //! assert_eq!(out.shape().c, 10); // ten digit classes
 //! ```
 
+pub mod conv;
 pub mod exec;
 pub mod f16;
 pub mod graph;

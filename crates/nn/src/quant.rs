@@ -91,9 +91,10 @@ impl CalibrationTable {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError`] if an input does not match the network.
+    /// Returns [`GraphError`] if the network's shapes are inconsistent
+    /// or an input does not match the network.
     pub fn calibrate(net: &Network, calib_inputs: &[Tensor]) -> Result<Self, GraphError> {
-        let exec = Executor::new(net);
+        let exec = Executor::try_new(net)?;
         let mut max_abs = vec![0.0f32; net.nodes().len()];
         for input in calib_inputs {
             let acts = exec.run_all(input)?;
@@ -268,5 +269,22 @@ mod tests {
         let b = Tensor::from_vec(Shape::new(1, 1, 1), vec![2.0]);
         let t = CalibrationTable::calibrate(&net, &[a, b]).unwrap();
         assert!((t.scale(0).scale - 2.0 / 127.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn calibration_rejects_inconsistent_network() {
+        // The conv expects 2 x 2 = 4 input channels; the input has 3.
+        let mut net = Network::new("t", Shape::new(3, 4, 4));
+        let conv = crate::graph::ConvParams {
+            weights: crate::tensor::WeightTensor::random(4, 2, 3, 3, 1),
+            bias: vec![0.0; 4],
+            stride: 1,
+            pad: 1,
+            groups: 2,
+        };
+        net.add("c", Op::Conv2d(conv), &[net.input()]).unwrap();
+        let inputs = [Tensor::random(Shape::new(3, 4, 4), 1)];
+        let e = CalibrationTable::calibrate(&net, &inputs).unwrap_err();
+        assert!(e.to_string().contains("input channels"), "{e}");
     }
 }

@@ -6,27 +6,25 @@
 //! do) and converts to real values with the input×weight scale; FP16
 //! accumulates in f32 (the RTL uses wider-than-fp16 accumulation too).
 //!
-//! Two implementations share the same tap order:
+//! Both paths run the shared kernel in `rvnv_nn::conv`, which keeps
+//! the summation order of every output fixed — zero, then the taps in
+//! `(ic, ky, kx)` order with padding skipped — so f32 results are
+//! bit-exact:
 //!
-//! * [`compute`] — the production path: an `im2col`-style *blocked*
-//!   loop that gathers each output window's input patch into a flat
-//!   buffer once per `(oy, ox)` position and reuses it across every
-//!   output channel, with a bounds-check-free inner dot product.
-//! * [`compute_reference`] — the original naive tap-at-a-time loop,
-//!   kept as the bit-exactness oracle for tests, the determinism
-//!   fingerprint and the perf harness.
+//! * [`compute`] — the production path: [`conv::run`], reducing
+//!   [`conv::LANES`] output channels at once against weights decoded
+//!   straight from DRAM bytes into the kernel's lane layout.
+//! * [`compute_reference`] — [`conv::reference`], the naive
+//!   tap-at-a-time oracle, kept for tests, the determinism fingerprint
+//!   and the perf harness.
 //!
-//! Bit-identical outputs are guaranteed because both paths visit the
-//! taps of each output in the same `(ic, ky, kx)` order (f32 addition
-//! is not associative, so the *sequence* of adds is part of the
-//! contract), and padding taps are skipped rather than added as zeros
-//! (adding `0.0` could flip a `-0.0` partial sum to `+0.0`). The one
-//! exception is NaN *inputs*, whose payload propagation IEEE 754 (and
-//! the compiler) leaves underdetermined — encoded model data never
-//! contains them.
+//! The one exception to bit-exactness is NaN *inputs*, whose payload
+//! propagation IEEE 754 (and the compiler) leaves underdetermined —
+//! encoded model data never contains them.
 
 use crate::config::Precision;
 use crate::descriptor::ConvDesc;
+use rvnv_nn::conv::{self, ConvGeom, LaneWeights};
 use rvnv_nn::F16;
 
 /// Compute the convolution accumulator as real (f32) values in NCHW
@@ -40,303 +38,74 @@ use rvnv_nn::F16;
 /// Panics if the buffers are smaller than the descriptor implies.
 #[must_use]
 pub fn compute(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
-    let d = Dims::of(desc);
-    match desc.precision {
-        Precision::Int8 => {
-            assert!(feature.len() >= d.in_elems, "feature buffer too small");
-            assert!(weights.len() >= d.wt_elems, "weight buffer too small");
-            let f: Vec<i32> = feature[..d.in_elems]
-                .iter()
-                .map(|&b| i32::from(b as i8))
-                .collect();
-            let w: Vec<i32> = weights[..d.wt_elems]
-                .iter()
-                .map(|&b| i32::from(b as i8))
-                .collect();
-            let acc_scale = desc.in_scale * desc.wt_scale;
-            compute_blocked(&d, &f, &w, |acc: i32| acc as f32 * acc_scale)
-        }
-        Precision::Fp16 => {
-            assert!(feature.len() >= d.in_elems * 2, "feature buffer too small");
-            assert!(weights.len() >= d.wt_elems * 2, "weight buffer too small");
-            let f: Vec<f32> = decode_f16(&feature[..d.in_elems * 2]);
-            let w: Vec<f32> = decode_f16(&weights[..d.wt_elems * 2]);
-            compute_blocked(&d, &f, &w, |acc: f32| acc)
-        }
-    }
+    convolve(desc, feature, weights, false)
 }
 
-/// The original tap-at-a-time implementation — slow, obviously
-/// correct, and the oracle [`compute`] is differentially tested
-/// against (bit-identical output required).
+/// [`compute`] through the naive oracle — slow, obviously correct, and
+/// bit-identical by contract.
+///
+/// # Panics
+///
+/// Panics if the buffers are smaller than the descriptor implies.
 #[must_use]
 pub fn compute_reference(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
+    convolve(desc, feature, weights, true)
+}
+
+fn convolve(desc: &ConvDesc, feature: &[u8], weights: &[u8], reference: bool) -> Vec<f32> {
+    let g = geometry(desc);
+    let elem = desc.precision.bytes() as usize;
+    let in_elems = g.in_c * g.in_h * g.in_w;
+    assert!(feature.len() >= in_elems * elem, "feature buffer too small");
+    assert!(
+        weights.len() >= g.out_c * g.taps() * elem,
+        "weight buffer too small"
+    );
     match desc.precision {
-        Precision::Int8 => reference_int8(desc, feature, weights),
-        Precision::Fp16 => reference_fp16(desc, feature, weights),
-    }
-}
-
-fn decode_f16(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(2)
-        .map(|p| F16::from_bits(u16::from_le_bytes([p[0], p[1]])).to_f32())
-        .collect()
-}
-
-/// Multiply-accumulate element: `i32` for INT8 (exact), `f32` for FP16.
-trait Mac: Copy + Default {
-    fn mac(acc: Self, f: Self, w: Self) -> Self;
-
-    /// Full-window dot product over equal-length slices. The default
-    /// is a strict left-to-right fold; element types whose addition is
-    /// associative may override with a vectorizable loop.
-    fn dot(a: &[Self], b: &[Self]) -> Self {
-        a.iter()
-            .zip(b)
-            .fold(Self::default(), |acc, (&f, &w)| Self::mac(acc, f, w))
-    }
-}
-
-impl Mac for i32 {
-    fn mac(acc: Self, f: Self, w: Self) -> Self {
-        acc + f * w
-    }
-
-    /// Integer addition is associative, so the compiler is free to
-    /// vectorize this reduction — the result is exact regardless of
-    /// order (int8 products cannot overflow a realistic i32 sum).
-    fn dot(a: &[Self], b: &[Self]) -> Self {
-        let n = a.len().min(b.len());
-        let (a, b) = (&a[..n], &b[..n]);
-        let mut acc = 0;
-        for i in 0..n {
-            acc += a[i] * b[i];
+        Precision::Int8 => {
+            let f: Vec<i32> = feature[..in_elems]
+                .iter()
+                .map(|&b| i32::from(b as i8))
+                .collect();
+            let w = |i: usize| i32::from(weights[i] as i8);
+            let acc_scale = desc.in_scale * desc.wt_scale;
+            let finish = |acc: i32| acc as f32 * acc_scale;
+            if reference {
+                conv::reference(&g, &f, w, |_| 0, finish)
+            } else {
+                conv::run(&g, &f, &LaneWeights::pack(&g, w), |_| 0, finish)
+            }
         }
-        acc
-    }
-}
-
-impl Mac for f32 {
-    /// f32 keeps the strict sequential default: the summation order is
-    /// the bit-exactness contract.
-    fn mac(acc: Self, f: Self, w: Self) -> Self {
-        acc + f * w
-    }
-}
-
-/// Blocked convolution over pre-converted element buffers.
-///
-/// For each `(group, oy, ox)`, the valid kernel window is computed
-/// once, the input patch is gathered row-contiguously into `patch` in
-/// `(ic, ky, kx)` tap order, and every output channel of the group
-/// reduces that same patch against its (contiguous, OIHW) weight row.
-/// Interior outputs — the vast majority — see a full window, where the
-/// patch layout coincides with the weight row layout and the reduction
-/// is a straight `zip` dot product; border outputs index the weight
-/// row through a per-window offset table instead.
-fn compute_blocked<T: Mac>(
-    d: &Dims,
-    feature: &[T],
-    weights: &[T],
-    finish: impl Fn(T) -> f32,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; d.out_c * d.out_h * d.out_w];
-    let plane = d.in_h * d.in_w;
-    let wt_per_oc = d.in_per_group * d.kh * d.kw;
-    let groups = d.out_c / d.out_per_group;
-    let mut patch: Vec<T> = Vec::with_capacity(wt_per_oc);
-    // Weight-row offsets (`ic*kh*kw + ky*kw + kx`) of the gathered
-    // taps, rebuilt only for clipped (border) windows.
-    let mut widx: Vec<usize> = Vec::with_capacity(wt_per_oc);
-    for g in 0..groups {
-        let in_base = g * d.in_per_group * plane;
-        for oy in 0..d.out_h {
-            let base_y = (oy * d.stride) as isize - d.pad;
-            let ky0 = usize::try_from(-base_y).unwrap_or(0).min(d.kh);
-            let ky1 = usize::try_from(d.in_h as isize - base_y)
-                .unwrap_or(0)
-                .min(d.kh);
-            for ox in 0..d.out_w {
-                let base_x = (ox * d.stride) as isize - d.pad;
-                let kx0 = usize::try_from(-base_x).unwrap_or(0).min(d.kw);
-                let kx1 = usize::try_from(d.in_w as isize - base_x)
-                    .unwrap_or(0)
-                    .min(d.kw);
-                let row_len = kx1.saturating_sub(kx0);
-                let full = ky0 == 0 && ky1 == d.kh && kx0 == 0 && kx1 == d.kw;
-                // A kernel spanning the whole input plane (fully-
-                // connected layers lowered to conv) needs no gather at
-                // all: the patch *is* the group's feature slice.
-                let whole_plane = full && d.kw == d.in_w && d.kh == d.in_h;
-
-                patch.clear();
-                if row_len > 0 && !whole_plane {
-                    let ix0 = (base_x + kx0 as isize) as usize;
-                    if full && d.kw == d.in_w {
-                        // Full-width kernel rows are contiguous across
-                        // ky — one copy per input channel.
-                        for ic in 0..d.in_per_group {
-                            let start = in_base + ic * plane + base_y as usize * d.in_w;
-                            patch.extend_from_slice(&feature[start..start + d.kh * d.in_w]);
-                        }
-                    } else {
-                        for ic in 0..d.in_per_group {
-                            let fplane = &feature[in_base + ic * plane..][..plane];
-                            for ky in ky0..ky1 {
-                                let iy = (base_y + ky as isize) as usize;
-                                let start = iy * d.in_w + ix0;
-                                patch.extend_from_slice(&fplane[start..start + row_len]);
-                            }
-                        }
-                    }
-                }
-                let patch_taps: &[T] = if whole_plane {
-                    &feature[in_base..in_base + d.in_per_group * plane]
-                } else {
-                    &patch
-                };
-                if !full {
-                    widx.clear();
-                    for ic in 0..d.in_per_group {
-                        for ky in ky0..ky1 {
-                            for kx in kx0..kx1 {
-                                widx.push((ic * d.kh + ky) * d.kw + kx);
-                            }
-                        }
-                    }
-                }
-
-                for oc_in_g in 0..d.out_per_group {
-                    let oc = g * d.out_per_group + oc_in_g;
-                    let wrow = &weights[oc * wt_per_oc..][..wt_per_oc];
-                    let acc = if full {
-                        // Full window: gathered tap order equals the
-                        // OIHW weight-row order — contiguous dot.
-                        T::dot(patch_taps, wrow)
-                    } else {
-                        patch_taps
-                            .iter()
-                            .zip(&widx)
-                            .fold(T::default(), |acc, (&f, &wi)| T::mac(acc, f, wrow[wi]))
-                    };
-                    out[(oc * d.out_h + oy) * d.out_w + ox] = finish(acc);
-                }
+        Precision::Fp16 => {
+            let f: Vec<f32> = (0..in_elems).map(|i| f16_at(feature, i)).collect();
+            let w = |i: usize| f16_at(weights, i);
+            if reference {
+                conv::reference(&g, &f, w, |_| 0.0, |acc| acc)
+            } else {
+                conv::run(&g, &f, &LaneWeights::pack(&g, w), |_| 0.0, |acc| acc)
             }
         }
     }
-    out
 }
 
-fn reference_int8(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
-    let d = Dims::of(desc);
-    assert!(feature.len() >= d.in_elems, "feature buffer too small");
-    assert!(weights.len() >= d.wt_elems, "weight buffer too small");
-    let acc_scale = desc.in_scale * desc.wt_scale;
-    let mut out = vec![0.0f32; desc.out_elems()];
-    d.for_each_output(|oc, oy, ox, out_idx| {
-        let mut acc: i32 = 0;
-        d.for_each_tap(oc, oy, ox, |f_idx, w_idx| {
-            acc += i32::from(feature[f_idx] as i8) * i32::from(weights[w_idx] as i8);
-        });
-        out[out_idx] = acc as f32 * acc_scale;
-    });
-    out
+/// Element `i` of a little-endian f16 buffer.
+fn f16_at(bytes: &[u8], i: usize) -> f32 {
+    F16::from_bits(u16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]])).to_f32()
 }
 
-fn reference_fp16(desc: &ConvDesc, feature: &[u8], weights: &[u8]) -> Vec<f32> {
-    let d = Dims::of(desc);
-    assert!(feature.len() >= d.in_elems * 2, "feature buffer too small");
-    assert!(weights.len() >= d.wt_elems * 2, "weight buffer too small");
-    let f16_at = |buf: &[u8], i: usize| -> f32 {
-        F16::from_bits(u16::from_le_bytes([buf[2 * i], buf[2 * i + 1]])).to_f32()
-    };
-    let mut out = vec![0.0f32; desc.out_elems()];
-    d.for_each_output(|oc, oy, ox, out_idx| {
-        let mut acc: f32 = 0.0;
-        d.for_each_tap(oc, oy, ox, |f_idx, w_idx| {
-            acc += f16_at(feature, f_idx) * f16_at(weights, w_idx);
-        });
-        out[out_idx] = acc;
-    });
-    out
-}
-
-/// Loop bounds shared by both precisions (indices are element indices).
-struct Dims {
-    in_w: usize,
-    in_h: usize,
-    in_per_group: usize,
-    out_w: usize,
-    out_h: usize,
-    out_c: usize,
-    out_per_group: usize,
-    kw: usize,
-    kh: usize,
-    stride: usize,
-    pad: isize,
-    in_elems: usize,
-    wt_elems: usize,
-}
-
-impl Dims {
-    fn of(desc: &ConvDesc) -> Self {
-        let groups = desc.groups as usize;
-        let in_per_group = desc.in_c as usize / groups;
-        let out_per_group = desc.out_c as usize / groups;
-        Dims {
-            in_w: desc.in_w as usize,
-            in_h: desc.in_h as usize,
-            in_per_group,
-            out_w: desc.out_w as usize,
-            out_h: desc.out_h as usize,
-            out_c: desc.out_c as usize,
-            out_per_group,
-            kw: desc.kw as usize,
-            kh: desc.kh as usize,
-            stride: desc.stride as usize,
-            pad: desc.pad as isize,
-            in_elems: (desc.in_c * desc.in_h * desc.in_w) as usize,
-            wt_elems: (desc.out_c * (desc.in_c / desc.groups) * desc.kh * desc.kw) as usize,
-        }
-    }
-
-    fn for_each_output(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
-        let mut idx = 0;
-        for oc in 0..self.out_c {
-            for oy in 0..self.out_h {
-                for ox in 0..self.out_w {
-                    f(oc, oy, ox, idx);
-                    idx += 1;
-                }
-            }
-        }
-    }
-
-    /// Visit every (feature, weight) element-index pair for one output.
-    fn for_each_tap(&self, oc: usize, oy: usize, ox: usize, mut f: impl FnMut(usize, usize)) {
-        let g = oc / self.out_per_group;
-        let in_base_c = g * self.in_per_group;
-        for ic in 0..self.in_per_group {
-            let f_plane = (in_base_c + ic) * self.in_h * self.in_w;
-            let w_plane = ((oc * self.in_per_group) + ic) * self.kh * self.kw;
-            for ky in 0..self.kh {
-                let iy = (oy * self.stride + ky) as isize - self.pad;
-                if iy < 0 || iy as usize >= self.in_h {
-                    continue;
-                }
-                for kx in 0..self.kw {
-                    let ix = (ox * self.stride + kx) as isize - self.pad;
-                    if ix < 0 || ix as usize >= self.in_w {
-                        continue;
-                    }
-                    f(
-                        f_plane + iy as usize * self.in_w + ix as usize,
-                        w_plane + ky * self.kw + kx,
-                    );
-                }
-            }
-        }
+fn geometry(desc: &ConvDesc) -> ConvGeom {
+    ConvGeom {
+        in_c: desc.in_c as usize,
+        in_h: desc.in_h as usize,
+        in_w: desc.in_w as usize,
+        out_c: desc.out_c as usize,
+        out_h: desc.out_h as usize,
+        out_w: desc.out_w as usize,
+        kh: desc.kh as usize,
+        kw: desc.kw as usize,
+        stride: desc.stride as usize,
+        pad: desc.pad as usize,
+        groups: desc.groups as usize,
     }
 }
 
@@ -435,26 +204,13 @@ mod tests {
         let fbytes = super::super::from_real(&fvals, Precision::Fp16, 1.0);
         let wbytes = super::super::from_real(&wvals, Precision::Fp16, 1.0);
         let out = compute(&d, &fbytes, &wbytes);
-        // Reference: exact f32 conv (values chosen representable in f16).
-        let d8 = desc(2, 4, 3, 3, 1, 1, 1, Precision::Int8);
-        let _ = d8;
+        // Reference: the f32 oracle on the real values (chosen
+        // representable in f16).
+        let expect = conv::reference(&geometry(&d), &fvals, |i| wvals[i], |_| 0.0, |a| a);
         assert_eq!(out.len(), 3 * 4 * 4);
-        // Spot check one output by direct summation.
-        let mut expect = 0.0f32;
-        for ic in 0..2 {
-            for ky in 0..3 {
-                for kx in 0..3 {
-                    let iy = 1 + ky as isize - 1;
-                    let ix = 1 + kx as isize - 1;
-                    if iy < 0 || ix < 0 || iy > 3 || ix > 3 {
-                        continue;
-                    }
-                    expect += fvals[ic * 16 + iy as usize * 4 + ix as usize]
-                        * wvals[ic * 9 + ky * 3 + kx];
-                }
-            }
+        for (a, b) in out.iter().zip(&expect) {
+            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
-        assert!((out[5] - expect).abs() < 1e-3, "{} vs {expect}", out[5]);
     }
 
     #[test]
@@ -489,12 +245,12 @@ mod tests {
         }
     }
 
-    /// The blocked path must match the naive reference *bit for bit* —
+    /// The lane kernel must match the naive reference *bit for bit* —
     /// including fp16, where the summation order is the contract —
     /// across shapes that cover padding, stride, grouping and windows
     /// fully clipped off every edge.
     #[test]
-    fn blocked_matches_reference_bit_exact() {
+    fn kernel_matches_reference_bit_exact() {
         let shapes = [
             desc(1, 3, 1, 2, 1, 0, 1, Precision::Int8),
             desc(3, 8, 4, 3, 1, 1, 1, Precision::Int8),
