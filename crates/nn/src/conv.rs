@@ -78,7 +78,7 @@ pub struct ConvGeom {
 impl ConvGeom {
     /// The geometry of a golden conv node from input to output shape.
     #[must_use]
-    pub fn of(p: &ConvParams, input: Shape, out: Shape) -> Self {
+    fn of(p: &ConvParams, input: Shape, out: Shape) -> Self {
         ConvGeom {
             in_c: input.c,
             in_h: input.h,
