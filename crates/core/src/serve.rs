@@ -430,7 +430,7 @@ impl ServeSpec {
         if let Some(f) = &self.faults {
             if self.pipelined {
                 return Err(ServeError::Config(
-                    "--faults is not supported with --pipelined workers yet \
+                    "--faults is not supported with --pipeline yet \
                      (fault recovery would tear the preload overlap; run the \
                      chaos experiment on serial workers)"
                         .into(),
@@ -1604,7 +1604,7 @@ mod tests {
                     faults: Some(storm),
                     ..spec()
                 },
-                "--pipelined",
+                "--faults is not supported with --pipeline yet",
             ),
             (
                 ServeSpec {

@@ -13,8 +13,12 @@ use std::sync::Mutex;
 /// scoped workers, returning the results in task order.
 ///
 /// Workers pull indices from a shared atomic counter (work stealing, so
-/// uneven task costs balance out). With `threads == 1` this degrades to
-/// a serial loop plus one spawn.
+/// uneven task costs balance out). At most
+/// [`std::thread::available_parallelism`] OS threads start, however
+/// many `threads` are asked for: callers that model one worker per
+/// task (`fan_out(n, n, ..)`) get their extra tasks queued on the
+/// threads that did start, and the results are the same. With
+/// `threads == 1` this degrades to a serial loop plus one spawn.
 ///
 /// # Panics
 ///
@@ -24,7 +28,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.clamp(1, tasks.max(1));
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = threads.min(cores).clamp(1, tasks.max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
@@ -61,6 +66,18 @@ mod tests {
     fn zero_tasks_is_empty() {
         let out: Vec<u32> = fan_out(0, 4, |_| unreachable!("no tasks"));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn os_threads_are_bounded_by_host_parallelism() {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let ids = fan_out(64, 64, |_| std::thread::current().id());
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert!(
+            distinct.len() <= cores,
+            "{} threads started on a {cores}-way host",
+            distinct.len()
+        );
     }
 
     #[test]

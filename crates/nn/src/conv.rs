@@ -26,7 +26,7 @@
 //! once per call into the lane layout `[group][block][tap][lane]`
 //! ([`LaneWeights`]), straight from their source.
 //!
-//! [`reference`] is the naive tap-at-a-time loop, kept as the single
+//! [`reference()`] is the naive tap-at-a-time loop, kept as the single
 //! bit-exactness oracle for the kernel.
 
 use std::ops::{Add, Mul, Range};
@@ -346,7 +346,7 @@ pub fn golden(x: &Tensor, p: &ConvParams, out: Shape) -> Tensor {
     Tensor::from_vec(out, y)
 }
 
-/// [`golden`] through the [`reference`] oracle.
+/// [`golden`] through the [`reference()`] oracle.
 #[must_use]
 pub fn golden_reference(x: &Tensor, p: &ConvParams, out: Shape) -> Tensor {
     let geom = ConvGeom::of(p, x.shape(), out);

@@ -1,135 +1,32 @@
 //! `rv-nvdla` — command-line front end for the bare-metal RISC-V + NVDLA
 //! SoC toolflow.
 //!
-//! ```text
-//! rv-nvdla compile <model> [--fp16] [--unfused] [--out DIR]
-//! rv-nvdla run     <model> [--fp16] [--unfused] [--wfi] [--timing-only] [--repeat N]
-//!                  [--trace-out FILE] [--metrics-out FILE]
-//! rv-nvdla sweep   <model> [--fp16] [--unfused] [--clocks MHZ,..] [--threads N]
-//! rv-nvdla batch   --models A,B[,..] [--frames N] [--policy rr|sqf|eff] [--threads N]
-//!                  [--pipeline] [--functional] [--wfi] [--fp16] [--unfused]
-//!                  [--trace-out FILE] [--metrics-out FILE]
-//! rv-nvdla serve   --models A,B[,..] [--rate R] [--duration MS] [--seed S]
-//!                  [--workers W] [--policy rr|sqf|eff] [--pipeline]
-//!                  [--queue-depth D] [--slo-us U] [--arrivals poisson|fixed]
-//!                  [--timeout-us U] [--retries N] [--faults SPEC]
-//!                  [--fp16] [--unfused] [--json] [--trace-out FILE] [--metrics-out FILE]
-//! rv-nvdla fleet   --models A,B[,..] [--pools CLASS[:k=v,..][;..]] [--route POLICY]
-//!                  [--shape SHAPE] [--rate R] [--duration MS] [--seed S] [--slo-us U]
-//!                  [--scale-window MS] [--scale-up-below PCT] [--scale-down-above PCT]
-//!                  [--spot-windows K] [--window-frames N] [--fp16] [--unfused]
-//!                  [--json] [--trace-out FILE] [--metrics-out FILE]
-//! rv-nvdla fuzz    <target|all> [--seed S] [--budget N] [--shrink]
-//! rv-nvdla traces
-//! rv-nvdla resources
-//! rv-nvdla models
-//! ```
-//!
-//! Unknown flags are rejected with the command's accepted flag list —
-//! a mistyped option can never be silently ignored.
+//! Run `rv-nvdla` with no arguments for the usage banner. The banner,
+//! the parser and each command's accepted-flag list all derive from one
+//! table, [`COMMANDS`]: every flag is declared once as a [`Flag`], and a
+//! command lists the flags it accepts. Arguments are parsed in a single
+//! pass, so a flag's value is never also read as a flag, a repeated
+//! flag is an error, and an unknown flag is rejected with the command's
+//! accepted list — a mistyped option can never be silently ignored.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use rv_nvdla::prelude::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("fleet") => cmd_fleet(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("traces") => cmd_traces(),
-        Some("resources") => cmd_resources(),
-        Some("models") => cmd_models(),
-        _ => {
-            eprintln!(
-                "usage: rv-nvdla <compile|run|sweep|batch|serve|fleet|fuzz|traces|resources|models> [options]\n\
-                 \n\
-                 compile <model> [--fp16] [--unfused] [--out DIR]\n\
-                 \tCompile a zoo model; write config file, weight .bin,\n\
-                 \tassembly and program-memory .mem image.\n\
-                 run <model> [--fp16] [--unfused] [--wfi] [--timing-only] [--repeat N]\n\
-                 \x20   [--trace-out FILE] [--metrics-out FILE]\n\
-                 \tRun N bare-metal inferences on the co-simulated SoC;\n\
-                 \trepeats after the first reuse the resident weight image\n\
-                 \t(compile-once/run-many hot path). --trace-out writes a\n\
-                 \tPerfetto-loadable modeled-time trace, --metrics-out a\n\
-                 \tJSON metrics dump (docs/OBSERVABILITY.md).\n\
-                 sweep <model> [--fp16] [--unfused] [--clocks 50,100,150,200] [--threads N]\n\
-                 \tTiming-only system-clock sweep (wfi firmware) against\n\
-                 \tthe 100 MHz MIG, fanned out across worker threads.\n\
-                 batch --models A,B[,..] [--frames N] [--policy rr|sqf|eff] [--threads N]\n\
-                 \x20     [--pipeline] [--functional] [--wfi] [--fp16] [--unfused]\n\
-                 \x20     [--trace-out FILE] [--metrics-out FILE]\n\
-                 \tKeep every listed model resident in DRAM at disjoint\n\
-                 \tbases and drain an interleaved frame queue across them\n\
-                 \ton one SoC per worker thread (timing-only + wfi unless\n\
-                 \t--functional). --pipeline double-buffers the inputs:\n\
-                 \tframe N+1's preload streams during frame N's compute\n\
-                 \tand contends at the DRAM arbiter. Reports per-model\n\
-                 \tcycles, per-frame latency, arbiter contention and\n\
-                 \tend-to-end throughput.\n\
-                 serve --models A,B[,..] [--rate R] [--duration MS] [--seed S] [--workers W]\n\
-                 \x20     [--policy rr|sqf|eff] [--pipeline] [--queue-depth D] [--slo-us U]\n\
-                 \x20     [--arrivals poisson|fixed] [--timeout-us U] [--retries N]\n\
-                 \x20     [--faults seed=S,flips=F,errors=E,spikes=P,spike-us=U,hangs=H,crashes=C]\n\
-                 \x20     [--fp16] [--unfused] [--json] [--trace-out FILE] [--metrics-out FILE]\n\
-                 \tOpen-loop serving: a seeded arrival trace (R req/s of\n\
-                 \tmodeled time for MS ms) drains through a bounded\n\
-                 \tadmission queue into W warm worker SoCs with every\n\
-                 \tmodel resident. Reports queue-wait/service/total\n\
-                 \tlatency percentiles (p50/p95/p99), offered vs\n\
-                 \tachieved throughput, drops, and SLO attainment at\n\
-                 \tthe --slo-us target; the dispatch plan is replayed\n\
-                 \ton real SoCs and cross-checked cycle-exactly.\n\
-                 \t--faults arms a seeded chaos plan (rates in events\n\
-                 \tper million frame attempts); --timeout-us bounds\n\
-                 \teach attempt (the watchdog) and --retries the retry\n\
-                 \tbudget. See docs/RESILIENCE.md.\n\
-                 fleet --models A,B[,..] [--pools CLASS[:k=v,..][;..]] [--route POLICY] [--shape SHAPE]\n\
-                 \x20     [--rate R] [--duration MS] [--seed S] [--slo-us U] [--scale-window MS]\n\
-                 \x20     [--scale-up-below PCT] [--scale-down-above PCT] [--spot-windows K]\n\
-                 \x20     [--window-frames N] [--fp16] [--unfused] [--json]\n\
-                 \x20     [--trace-out FILE] [--metrics-out FILE]\n\
-                 \tFleet-scale serving: a shaped arrival trace (--shape\n\
-                 \tsteady|diurnal|bursty|flash-crowd) drains through a\n\
-                 \tfront-end load balancer (--route weighted|least-loaded|\n\
-                 \tmodel-affinity) into heterogeneous pools of warm worker\n\
-                 \tSoCs, each with bounded admission and a reactive\n\
-                 \tautoscaler ([min..max] workers against a rolling SLO\n\
-                 \twindow; every scale-up pays the pool's re-warm cost in\n\
-                 \tmodeled time). Pool grammar, `;`-separated:\n\
-                 \t  --pools \"nv_small:workers=2,queue=8;nv_full:workers=1,models=ResNet-50\"\n\
-                 \t(class nv_small|nv_full, keys workers|min|max|queue|models,\n\
-                 \tmodels `+`-separated). K windows of the dispatch plan are\n\
-                 \tspot-replayed on real per-pool SoCs and cross-checked\n\
-                 \tcycle-exactly. See docs/FLEET.md.\n\
-                 fuzz <target|all> [--seed S] [--budget N] [--shrink]\n\
-                 \tSeeded differential fuzzing over the standing\n\
-                 \tcontracts (targets riscv|bus|net|batch|serve|fleet).\n\
-                 \tCase i derives its input from seed S+i and checks the\n\
-                 \ttarget's oracle; with --shrink a failure is reduced to\n\
-                 \ta minimal input and printed as a one-line replay\n\
-                 \tcommand. --budget (or env RVNV_FUZZ_BUDGET) bounds the\n\
-                 \tcases per target; counterexamples are also written\n\
-                 \tunder target/fuzz/. See docs/FUZZING.md.\n\
-                 traces\n\
-                 \tRun the standard NVDLA validation traces as firmware.\n\
-                 resources\n\
-                 \tPrint the Table I resource model for nv_small/nv_full.\n\
-                 models\n\
-                 \tList the model zoo."
-            );
-            return ExitCode::FAILURE;
-        }
+    let Some(cmd) = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name))
+    else {
+        eprint!("{}", usage());
+        return ExitCode::FAILURE;
     };
-    match result {
+    match Args::parse(cmd, &args[1..]).and_then(|a| (cmd.main)(&a)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -139,6 +36,379 @@ fn main() -> ExitCode {
 }
 
 type AnyError = Box<dyn std::error::Error>;
+
+/// One command-line flag: its name, the metavar of the value it
+/// consumes (`None` for a switch) and one line of help. A `required`
+/// flag is checked by the parser and printed unbracketed.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    required: bool,
+    help: &'static str,
+}
+
+impl Flag {
+    const fn switch(name: &'static str, help: &'static str) -> Flag {
+        Flag {
+            name,
+            value: None,
+            required: false,
+            help,
+        }
+    }
+
+    const fn valued(name: &'static str, metavar: &'static str, help: &'static str) -> Flag {
+        Flag {
+            name,
+            value: Some(metavar),
+            required: false,
+            help,
+        }
+    }
+
+    /// `--name VALUE`, as the usage synopsis and error messages show it.
+    fn form(&self) -> String {
+        match self.value {
+            Some(metavar) => format!("{} {metavar}", self.name),
+            None => self.name.to_string(),
+        }
+    }
+}
+
+// The flag table: every flag is declared here once, and each entry of
+// `COMMANDS` lists the flags its command accepts.
+const FP16: Flag = Flag::switch("--fp16", "FP16 on nv_full instead of INT8 on nv_small");
+const UNFUSED: Flag = Flag::switch("--unfused", "one register sequence per layer (no fusion)");
+const OUT: Flag = Flag::valued("--out", "DIR", "artifact directory (default .)");
+const WFI: Flag = Flag::switch("--wfi", "wfi firmware instead of the poll loop");
+const TIMING: Flag = Flag::switch("--timing-only", "model cycles, skip the arithmetic");
+const REPEAT: Flag = Flag::valued("--repeat", "N", "inferences to run (default 1)");
+const TRACE: Flag = Flag::valued("--trace-out", "FILE", "write a modeled-time trace");
+const METRICS: Flag = Flag::valued("--metrics-out", "FILE", "write a metrics dump");
+const CLOCKS: Flag = Flag::valued("--clocks", "MHZ,..", "system clocks to sweep");
+const THREADS: Flag = Flag::valued("--threads", "N", "worker threads (default: host cores)");
+const MODELS: Flag = Flag {
+    required: true,
+    ..Flag::valued("--models", "A,B[,..]", "zoo models to keep resident")
+};
+const FRAMES: Flag = Flag::valued("--frames", "N", "frames to drain (default 16)");
+const POLICY: Flag = Flag::valued("--policy", "rr|sqf|eff", "dispatch policy (default rr)");
+const PIPELINE: Flag = Flag::switch("--pipeline", "overlap the next input with compute");
+const FUNCTIONAL: Flag = Flag::switch("--functional", "compute real outputs");
+const RATE: Flag = Flag::valued("--rate", "R", "arrivals per second of modeled time");
+const DURATION: Flag = Flag::valued("--duration", "MS", "modeled milliseconds of arrivals");
+const SEED: Flag = Flag::valued("--seed", "S", "seed of the trace or first fuzz case");
+const WORKERS: Flag = Flag::valued("--workers", "W", "warm worker SoCs");
+const QUEUE: Flag = Flag::valued("--queue-depth", "D", "admission queue bound");
+const SLO: Flag = Flag::valued("--slo-us", "U", "total-latency SLO, modeled µs");
+const ARRIVALS: Flag = Flag::valued("--arrivals", "poisson|fixed", "arrival process");
+const TIMEOUT: Flag = Flag::valued("--timeout-us", "U", "watchdog per attempt, modeled µs");
+const RETRIES: Flag = Flag::valued("--retries", "N", "retry budget per request");
+const FAULTS: Flag = Flag::valued(
+    "--faults",
+    "seed=S,flips=F,errors=E,spikes=P,spike-us=U,hangs=H,crashes=C",
+    "seeded chaos plan",
+);
+const JSON: Flag = Flag::switch("--json", "print the modeled report as JSON");
+const POOLS: Flag = Flag::valued("--pools", "CLASS[:k=v,..][;..]", "worker pools");
+const ROUTE: Flag = Flag::valued("--route", "POLICY", "load-balancer policy");
+const SHAPE: Flag = Flag::valued("--shape", "SHAPE", "traffic shape");
+const SCALE_WIN: Flag = Flag::valued("--scale-window", "MS", "autoscaler SLO window");
+const SCALE_UP: Flag = Flag::valued("--scale-up-below", "PCT", "grow under PCT% SLO");
+const SCALE_DOWN: Flag = Flag::valued("--scale-down-above", "PCT", "shrink over PCT% SLO");
+const SPOT: Flag = Flag::valued("--spot-windows", "K", "windows to spot-replay");
+const WIN_FRAMES: Flag = Flag::valued("--window-frames", "N", "frames per window");
+const BUDGET: Flag = Flag::valued("--budget", "N", "cases per target");
+const SHRINK: Flag = Flag::switch("--shrink", "minimize a failing input");
+
+/// One subcommand: its name, the metavar of its one bare argument (if
+/// it takes one), the flags it accepts, its help prose and its body.
+struct Command {
+    name: &'static str,
+    positional: Option<&'static str>,
+    flags: &'static [Flag],
+    help: &'static str,
+    main: fn(&Args) -> Result<(), AnyError>,
+}
+
+/// Every subcommand, in usage-banner order.
+const COMMANDS: [Command; 10] = [
+    Command {
+        name: "compile",
+        positional: Some("<model>"),
+        flags: &[FP16, UNFUSED, OUT],
+        help: "Compile a zoo model; write config file, weight .bin,\n\
+               assembly and program-memory .mem image.",
+        main: cmd_compile,
+    },
+    Command {
+        name: "run",
+        positional: Some("<model>"),
+        flags: &[FP16, UNFUSED, WFI, TIMING, REPEAT, TRACE, METRICS],
+        help: "Run N bare-metal inferences on the co-simulated SoC;\n\
+               repeats after the first reuse the resident weight image\n\
+               (compile-once/run-many hot path). --trace-out writes a\n\
+               Perfetto-loadable modeled-time trace, --metrics-out a\n\
+               JSON metrics dump (docs/OBSERVABILITY.md).",
+        main: cmd_run,
+    },
+    Command {
+        name: "sweep",
+        positional: Some("<model>"),
+        flags: &[FP16, UNFUSED, CLOCKS, THREADS],
+        help: "Timing-only system-clock sweep (wfi firmware) against\n\
+               the 100 MHz MIG, fanned out across worker threads.\n\
+               Default clocks: 50,100,150,200.",
+        main: cmd_sweep,
+    },
+    Command {
+        name: "batch",
+        positional: None,
+        flags: &[
+            MODELS, FRAMES, POLICY, THREADS, PIPELINE, FUNCTIONAL, WFI, FP16, UNFUSED, TRACE,
+            METRICS,
+        ],
+        help: "Keep every listed model resident in DRAM at disjoint\n\
+               bases and drain an interleaved frame queue across them\n\
+               on one SoC per worker thread (timing-only + wfi unless\n\
+               --functional). --pipeline double-buffers the inputs:\n\
+               frame N+1's preload streams during frame N's compute\n\
+               and contends at the DRAM arbiter. Reports per-model\n\
+               cycles, per-frame latency, arbiter contention and\n\
+               end-to-end throughput.",
+        main: cmd_batch,
+    },
+    Command {
+        name: "serve",
+        positional: None,
+        flags: &[
+            MODELS, RATE, DURATION, SEED, WORKERS, POLICY, PIPELINE, QUEUE, SLO, ARRIVALS, TIMEOUT,
+            RETRIES, FAULTS, FP16, UNFUSED, JSON, TRACE, METRICS,
+        ],
+        help: "Open-loop serving: a seeded arrival trace (R req/s of\n\
+               modeled time for MS ms) drains through a bounded\n\
+               admission queue into W warm worker SoCs with every\n\
+               model resident. Reports queue-wait/service/total\n\
+               latency percentiles (p50/p95/p99), offered vs\n\
+               achieved throughput, drops, and SLO attainment at\n\
+               the --slo-us target; the dispatch plan is replayed\n\
+               on real SoCs and cross-checked cycle-exactly.\n\
+               --faults arms a seeded chaos plan (rates in events\n\
+               per million frame attempts); --timeout-us bounds\n\
+               each attempt (the watchdog) and --retries the retry\n\
+               budget. See docs/RESILIENCE.md.",
+        main: cmd_serve,
+    },
+    Command {
+        name: "fleet",
+        positional: None,
+        flags: &[
+            MODELS, POOLS, ROUTE, SHAPE, RATE, DURATION, SEED, SLO, SCALE_WIN, SCALE_UP,
+            SCALE_DOWN, SPOT, WIN_FRAMES, FP16, UNFUSED, JSON, TRACE, METRICS,
+        ],
+        help: "Fleet-scale serving: a shaped arrival trace (--shape\n\
+               steady|diurnal|bursty|flash-crowd) drains through a\n\
+               front-end load balancer (--route weighted|least-loaded|\n\
+               model-affinity) into heterogeneous pools of warm worker\n\
+               SoCs, each with bounded admission and a reactive\n\
+               autoscaler ([min..max] workers against a rolling SLO\n\
+               window; every scale-up pays the pool's re-warm cost in\n\
+               modeled time). Pool grammar, `;`-separated:\n\
+               \x20 --pools \"nv_small:workers=2,queue=8;nv_full:workers=1,models=ResNet-50\"\n\
+               (class nv_small|nv_full, keys workers|min|max|queue|models,\n\
+               models `+`-separated). K windows of the dispatch plan are\n\
+               spot-replayed on real per-pool SoCs and cross-checked\n\
+               cycle-exactly. See docs/FLEET.md.",
+        main: cmd_fleet,
+    },
+    Command {
+        name: "fuzz",
+        positional: Some("<target|all>"),
+        flags: &[SEED, BUDGET, SHRINK],
+        help: "Seeded differential fuzzing over the standing\n\
+               contracts (targets riscv|bus|net|batch|serve|fleet).\n\
+               Case i derives its input from seed S+i and checks the\n\
+               target's oracle; with --shrink a failure is reduced to\n\
+               a minimal input and printed as a one-line replay\n\
+               command. --budget (or env RVNV_FUZZ_BUDGET) bounds the\n\
+               cases per target; counterexamples are also written\n\
+               under target/fuzz/. See docs/FUZZING.md.",
+        main: cmd_fuzz,
+    },
+    Command {
+        name: "traces",
+        positional: None,
+        flags: &[],
+        help: "Run the standard NVDLA validation traces as firmware.",
+        main: cmd_traces,
+    },
+    Command {
+        name: "resources",
+        positional: None,
+        flags: &[],
+        help: "Print the Table I resource model for nv_small/nv_full.",
+        main: cmd_resources,
+    },
+    Command {
+        name: "models",
+        positional: None,
+        flags: &[],
+        help: "List the model zoo.",
+        main: cmd_models,
+    },
+];
+
+/// The usage banner: each command's synopsis (wrapped at 80 columns)
+/// and help prose, then one help line per flag.
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let mut out = format!("usage: rv-nvdla <{}> [options]\n\n", names.join("|"));
+    let mut flags: Vec<&Flag> = Vec::new();
+    for cmd in &COMMANDS {
+        let mut line = format!(
+            "{}{}",
+            cmd.name,
+            cmd.positional.map_or(String::new(), |p| format!(" {p}"))
+        );
+        for f in cmd.flags {
+            let form = if f.required {
+                f.form()
+            } else {
+                format!("[{}]", f.form())
+            };
+            if line.len() + 1 + form.len() > 80 {
+                out += &line;
+                out.push('\n');
+                line = " ".repeat(cmd.name.len());
+            }
+            line += &format!(" {form}");
+            if !flags.iter().any(|g| g.name == f.name) {
+                flags.push(f);
+            }
+        }
+        let _ = writeln!(out, "{line}");
+        for help in cmd.help.lines() {
+            let _ = writeln!(out, "\t{help}");
+        }
+    }
+    out += "\nflags:\n";
+    for f in flags {
+        let _ = writeln!(out, "  {:18}  {}", f.name, f.help);
+    }
+    out
+}
+
+/// A command line parsed once against its [`Command`]: the bare
+/// argument, if any, and each flag given with its value.
+struct Args<'a> {
+    cmd: &'static Command,
+    positional: Option<&'a str>,
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Parse `raw` left to right. A value flag consumes the next
+    /// argument whatever it looks like; anything else starting with `-`
+    /// must be one of the command's flags, given at most once.
+    fn parse(cmd: &'static Command, raw: &'a [String]) -> Result<Self, AnyError> {
+        let mut args = Args {
+            cmd,
+            positional: None,
+            given: Vec::new(),
+        };
+        let mut raw = raw.iter();
+        while let Some(a) = raw.next() {
+            if !a.starts_with('-') {
+                if cmd.positional.is_none() || args.positional.is_some() {
+                    return Err(format!(
+                        "unexpected argument `{a}` for `{}` ({} expected)",
+                        cmd.name,
+                        match cmd.positional {
+                            None => "no positional argument",
+                            Some(_) => "at most 1",
+                        }
+                    )
+                    .into());
+                }
+                args.positional = Some(a);
+                continue;
+            }
+            let Some(flag) = cmd.flags.iter().find(|f| f.name == a) else {
+                let mut accepted: Vec<&str> = cmd.flags.iter().map(|f| f.name).collect();
+                accepted.sort_unstable();
+                if accepted.is_empty() {
+                    accepted.push("none");
+                }
+                return Err(format!(
+                    "unknown flag `{a}` for `{}` (accepted: {})",
+                    cmd.name,
+                    accepted.join(", ")
+                )
+                .into());
+            };
+            if args.given.iter().any(|&(name, _)| name == flag.name) {
+                return Err(format!("flag `{a}` given more than once for `{}`", cmd.name).into());
+            }
+            let value = match flag.value {
+                Some(_) => Some(raw.next().ok_or_else(|| format!("{a} needs a value"))?),
+                None => None,
+            };
+            args.given.push((flag.name, value.map(String::as_str)));
+        }
+        match cmd.flags.iter().find(|f| f.required && !args.has(f)) {
+            Some(missing) => Err(format!("{} needs {}", cmd.name, missing.form()).into()),
+            None => Ok(args),
+        }
+    }
+
+    /// `Some(value)` when `flag` was given (`value` is `None` for a
+    /// switch). Reading a flag the command does not declare is a bug.
+    fn get(&self, flag: &Flag) -> Option<Option<&'a str>> {
+        debug_assert!(
+            self.cmd.flags.iter().any(|f| f.name == flag.name),
+            "`{}` reads undeclared flag {}",
+            self.cmd.name,
+            flag.name
+        );
+        self.given
+            .iter()
+            .find(|&&(name, _)| name == flag.name)
+            .map(|&(_, value)| value)
+    }
+
+    fn has(&self, flag: &Flag) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn value(&self, flag: &Flag) -> Option<&'a str> {
+        self.get(flag).flatten()
+    }
+
+    /// `flag`'s value as a number of the caller's integer type.
+    fn number<T: FromStr>(&self, flag: &Flag) -> Result<Option<T>, AnyError> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("bad {} `{v}`", flag.name).into())
+            })
+            .transpose()
+    }
+
+    /// `flag`'s value as a number that must be at least 1; `what` says
+    /// why 0 makes no sense.
+    fn positive<T: FromStr + From<u8> + PartialEq>(
+        &self,
+        flag: &Flag,
+        what: &str,
+    ) -> Result<Option<T>, AnyError> {
+        match self.number(flag)? {
+            Some(n) if n == T::from(0) => {
+                Err(format!("{} must be >= 1 ({what})", flag.name).into())
+            }
+            other => Ok(other),
+        }
+    }
+}
 
 fn find_model(name: &str) -> Result<Model, AnyError> {
     // Accept both the paper's spelling ("LeNet-5") and the file-stem
@@ -155,136 +425,37 @@ fn find_model(name: &str) -> Result<Model, AnyError> {
         .ok_or_else(|| format!("unknown model `{name}`; try `rv-nvdla models`").into())
 }
 
-/// Flags that consume the following argument as their value (the model
-/// name scan must not mistake such a value for the model).
-const VALUE_FLAGS: [&str; 28] = [
-    "--out",
-    "--trace-out",
-    "--metrics-out",
-    "--budget",
-    "--repeat",
-    "--clocks",
-    "--threads",
-    "--models",
-    "--frames",
-    "--policy",
-    "--rate",
-    "--duration",
-    "--seed",
-    "--workers",
-    "--queue-depth",
-    "--slo-us",
-    "--arrivals",
-    "--timeout-us",
-    "--retries",
-    "--faults",
-    "--pools",
-    "--route",
-    "--shape",
-    "--scale-window",
-    "--scale-up-below",
-    "--scale-down-above",
-    "--spot-windows",
-    "--window-frames",
-];
-
-/// Strict argument validation: every `--flag` must be in the command's
-/// accepted set (`bools` or `values`, the latter consuming the next
-/// argument), and at most `max_positionals` bare arguments (the model
-/// name) may appear. A mistyped flag is an error naming the accepted
-/// flags, never a silent no-op.
-fn validate_args(
-    cmd: &str,
-    args: &[String],
-    bools: &[&str],
-    values: &[&str],
-    max_positionals: usize,
-) -> Result<(), AnyError> {
-    let mut positionals = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a.starts_with('-') {
-            if values.contains(&a) {
-                i += 2; // the value is consumed by the flag
-                continue;
-            }
-            if !bools.contains(&a) {
-                let mut accepted: Vec<&str> = bools.iter().chain(values).copied().collect();
-                accepted.sort_unstable();
-                return Err(format!(
-                    "unknown flag `{a}` for `{cmd}` (accepted: {})",
-                    accepted.join(", ")
-                )
-                .into());
-            }
-        } else {
-            positionals += 1;
-            if positionals > max_positionals {
-                return Err(format!(
-                    "unexpected argument `{a}` for `{cmd}` ({} expected)",
-                    match max_positionals {
-                        0 => "no positional argument".to_string(),
-                        n => format!("at most {n}"),
-                    }
-                )
-                .into());
-            }
-        }
-        i += 1;
-    }
-    Ok(())
+/// The zoo model named by the command's `<model>` argument.
+fn model_arg(args: &Args) -> Result<Model, AnyError> {
+    find_model(args.positional.ok_or("missing model name")?)
 }
 
-/// Find `--flag`'s value anywhere in `args`; `Ok(None)` when absent,
-/// an error when the flag dangles with no value.
-fn parse_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, AnyError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .map(|v| Some(v.as_str()))
-            .ok_or_else(|| format!("{flag} needs a value").into()),
-    }
+/// INT8 calibrated on a single input: the CLI's default precision.
+fn int8_options() -> CompileOptions {
+    let mut o = CompileOptions::int8();
+    o.calib_inputs = 1;
+    o
 }
 
-/// Parse `--flag N` as a number anywhere in `args`.
-fn parse_number(args: &[String], flag: &str) -> Result<Option<u64>, AnyError> {
-    parse_value(args, flag)?
-        .map(|v| v.parse().map_err(|_| format!("bad {flag} `{v}`").into()))
-        .transpose()
-}
-
-fn parse_options(args: &[String]) -> Result<(Model, CompileOptions, bool, bool), AnyError> {
-    let mut model_name = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if VALUE_FLAGS.contains(&a) {
-            i += 2; // skip the flag and its value
-            continue;
-        }
-        if !a.starts_with("--") {
-            model_name = Some(&args[i]);
-            break;
-        }
-        i += 1;
-    }
-    let model = find_model(model_name.ok_or("missing model name")?)?;
-    let fp16 = args.iter().any(|a| a == "--fp16");
-    let mut opt = if fp16 {
+/// The compile options `--fp16` and `--unfused` select.
+fn compile_options(args: &Args) -> CompileOptions {
+    let opt = if args.has(&FP16) {
         CompileOptions::fp16()
     } else {
-        let mut o = CompileOptions::int8();
-        o.calib_inputs = 1;
-        o
+        int8_options()
     };
-    if args.iter().any(|a| a == "--unfused") {
-        opt = opt.unfused();
+    if args.has(&UNFUSED) {
+        opt.unfused()
+    } else {
+        opt
     }
-    let wfi = args.iter().any(|a| a == "--wfi");
-    let timing_only = args.iter().any(|a| a == "--timing-only");
-    Ok((model, opt, wfi, timing_only))
+}
+
+/// `--threads N`, defaulting to the host's available parallelism.
+fn threads(args: &Args) -> Result<usize, AnyError> {
+    Ok(args.number(&THREADS)?.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }))
 }
 
 /// The observability sinks shared by `run`/`batch`/`serve`/`fleet`:
@@ -301,19 +472,19 @@ impl ObsOut {
     /// Parse the two flags. The tracer is armed only when `--trace-out`
     /// asks for spans — disarmed, every emission site in the simulators
     /// is a single branch, and arming never changes a modeled cycle.
-    fn from_args(args: &[String]) -> Result<ObsOut, AnyError> {
-        let trace_out = parse_value(args, "--trace-out")?.map(PathBuf::from);
-        let metrics_out = parse_value(args, "--metrics-out")?.map(PathBuf::from);
+    fn from_args(args: &Args) -> ObsOut {
+        let trace_out = args.value(&TRACE).map(PathBuf::from);
+        let metrics_out = args.value(&METRICS).map(PathBuf::from);
         let tracer = if trace_out.is_some() {
             Tracer::armed()
         } else {
             Tracer::disarmed()
         };
-        Ok(ObsOut {
+        ObsOut {
             trace_out,
             metrics_out,
             tracer,
-        })
+        }
     }
 
     /// Whether `--metrics-out` asked for a metrics dump.
@@ -335,10 +506,10 @@ impl ObsOut {
     }
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), AnyError> {
-    validate_args("compile", args, &["--fp16", "--unfused"], &["--out"], 1)?;
-    let (model, opt, _, _) = parse_options(args)?;
-    let out_dir = parse_value(args, "--out")?.map_or_else(|| PathBuf::from("."), PathBuf::from);
+fn cmd_compile(args: &Args) -> Result<(), AnyError> {
+    let model = model_arg(args)?;
+    let opt = compile_options(args);
+    let out_dir = PathBuf::from(args.value(&OUT).unwrap_or("."));
     std::fs::create_dir_all(&out_dir)?;
 
     let net = model.build(1);
@@ -368,23 +539,17 @@ fn cmd_compile(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), AnyError> {
-    validate_args(
-        "run",
-        args,
-        &["--fp16", "--unfused", "--wfi", "--timing-only"],
-        &["--repeat", "--trace-out", "--metrics-out"],
-        1,
-    )?;
-    let (model, opt, wfi, timing_only) = parse_options(args)?;
-    let repeat = parse_number(args, "--repeat")?.unwrap_or(1).max(1);
-    let obs = ObsOut::from_args(args)?;
+fn cmd_run(args: &Args) -> Result<(), AnyError> {
+    let model = model_arg(args)?;
+    let opt = compile_options(args);
+    let repeat: u64 = args.number(&REPEAT)?.unwrap_or(1).max(1);
+    let obs = ObsOut::from_args(args);
     let net = model.build(1);
     // The cache is trivially one entry here; `run` goes through it so
     // the CLI exercises the same path a long-lived server would.
     let cache = ArtifactCache::new();
     let artifacts = cache.get_or_compile(&net, &opt)?;
-    let mut config = if timing_only {
+    let mut config = if args.has(&TIMING) {
         SocConfig::zcu102_timing_only()
     } else {
         SocConfig::zcu102_nv_small()
@@ -403,6 +568,7 @@ fn cmd_run(args: &[String]) -> Result<(), AnyError> {
     }
     let input = Tensor::random(net.input_shape(), 7);
     let input_bytes = artifacts.quantize_input(&input);
+    let wfi = args.has(&WFI);
     let codegen = CodegenOptions {
         wait_mode: if wfi { WaitMode::Wfi } else { WaitMode::Poll },
         ..CodegenOptions::default()
@@ -480,16 +646,10 @@ struct SweepRow {
     ms: f64,
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), AnyError> {
-    validate_args(
-        "sweep",
-        args,
-        &["--fp16", "--unfused"],
-        &["--clocks", "--threads"],
-        1,
-    )?;
-    let (model, opt, _, _) = parse_options(args)?;
-    let clocks: Vec<u64> = match parse_value(args, "--clocks")? {
+fn cmd_sweep(args: &Args) -> Result<(), AnyError> {
+    let model = model_arg(args)?;
+    let opt = compile_options(args);
+    let clocks: Vec<u64> = match args.value(&CLOCKS) {
         None => vec![50, 100, 150, 200],
         Some(list) => list
             .split(',')
@@ -503,12 +663,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), AnyError> {
     if clocks.is_empty() || clocks.contains(&0) {
         return Err("clock list must be nonempty and nonzero".into());
     }
-    let threads = parse_number(args, "--threads")?
-        .map_or_else(
-            || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            |n| n as usize,
-        )
-        .clamp(1, clocks.len());
+    let threads = threads(args)?.clamp(1, clocks.len());
 
     let net = model.build(1);
     let cache = ArtifactCache::new();
@@ -569,14 +724,14 @@ fn cmd_sweep(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// Parse `cmd`'s `--models A,B[,..]` list: every entry must name a zoo
+/// Parse the `--models A,B[,..]` list: every entry must name a zoo
 /// model, the list must be nonempty, and a model may appear only once
 /// (two copies of one model cannot be resident at one base — compile
 /// different seeds as different models instead).
-fn parse_model_list(cmd: &str, args: &[String]) -> Result<Vec<Model>, AnyError> {
-    let list = parse_value(args, "--models")?
-        .ok_or_else(|| format!("{cmd} needs --models A,B[,..] (try `rv-nvdla models`)"))?;
-    let names: Vec<&str> = list
+fn parse_model_list(args: &Args) -> Result<Vec<Model>, AnyError> {
+    let names: Vec<&str> = args
+        .value(&MODELS)
+        .unwrap_or_default()
         .split(',')
         .map(str::trim)
         .filter(|n| !n.is_empty())
@@ -598,58 +753,22 @@ fn parse_model_list(cmd: &str, args: &[String]) -> Result<Vec<Model>, AnyError> 
     Ok(models)
 }
 
-/// Parse `--flag N` as a number that must be at least 1.
-fn parse_positive(args: &[String], flag: &str, what: &str) -> Result<Option<u64>, AnyError> {
-    match parse_number(args, flag)? {
-        Some(0) => Err(format!("{flag} must be >= 1 ({what})").into()),
-        other => Ok(other),
-    }
-}
-
-fn cmd_batch(args: &[String]) -> Result<(), AnyError> {
-    validate_args(
-        "batch",
-        args,
-        &["--fp16", "--unfused", "--wfi", "--functional", "--pipeline"],
-        &[
-            "--models",
-            "--frames",
-            "--policy",
-            "--threads",
-            "--trace-out",
-            "--metrics-out",
-        ],
-        0,
-    )?;
-    let models = parse_model_list("batch", args)?;
-    let obs = ObsOut::from_args(args)?;
+fn cmd_batch(args: &Args) -> Result<(), AnyError> {
+    let models = parse_model_list(args)?;
+    let obs = ObsOut::from_args(args);
     let metrics = MetricsRegistry::new();
-    let frames =
-        parse_positive(args, "--frames", "an empty batch serves nothing")?.unwrap_or(16) as usize;
-    let policy: Policy = parse_value(args, "--policy")?.unwrap_or("rr").parse()?;
-    let pipeline = args.iter().any(|a| a == "--pipeline");
-    let threads = parse_number(args, "--threads")?
-        .map_or_else(
-            || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            |n| n as usize,
-        )
-        .clamp(1, frames);
-    let functional = args.iter().any(|a| a == "--functional");
-    let fp16 = args.iter().any(|a| a == "--fp16");
-    let mut opt = if fp16 {
-        CompileOptions::fp16()
-    } else {
-        let mut o = CompileOptions::int8();
-        o.calib_inputs = 1;
-        o
-    };
-    if args.iter().any(|a| a == "--unfused") {
-        opt = opt.unfused();
-    }
+    let frames: usize = args
+        .positive(&FRAMES, "an empty batch serves nothing")?
+        .unwrap_or(16);
+    let policy: Policy = args.value(&POLICY).unwrap_or("rr").parse()?;
+    let pipeline = args.has(&PIPELINE);
+    let threads = threads(args)?.clamp(1, frames);
+    let functional = args.has(&FUNCTIONAL);
+    let opt = compile_options(args);
     // The server flow is timing throughput; wfi firmware is its wait
     // mode (as in `sweep`). `--functional` computes real outputs with
     // the poll firmware `run` uses, unless `--wfi` asks otherwise.
-    let wfi = args.iter().any(|a| a == "--wfi") || !functional;
+    let wfi = args.has(&WFI) || !functional;
     let mut config = if functional {
         SocConfig::zcu102_nv_small()
     } else {
@@ -732,88 +851,36 @@ fn cmd_batch(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
-    validate_args(
-        "serve",
-        args,
-        &["--fp16", "--unfused", "--pipeline", "--json"],
-        &[
-            "--models",
-            "--rate",
-            "--duration",
-            "--seed",
-            "--workers",
-            "--policy",
-            "--queue-depth",
-            "--slo-us",
-            "--arrivals",
-            "--timeout-us",
-            "--retries",
-            "--faults",
-            "--trace-out",
-            "--metrics-out",
-        ],
-        0,
-    )?;
-    let models = parse_model_list("serve", args)?;
-    let obs = ObsOut::from_args(args)?;
-    let json = args.iter().any(|a| a == "--json");
+fn cmd_serve(args: &Args) -> Result<(), AnyError> {
+    let models = parse_model_list(args)?;
+    let obs = ObsOut::from_args(args);
     let mut spec = ServeSpec::default();
-    if let Some(rate) = parse_positive(args, "--rate", "a rate of 0 offers no load")? {
-        spec.rate_rps = rate;
-    }
-    if let Some(ms) = parse_positive(args, "--duration", "modeled milliseconds of arrivals")? {
-        spec.duration_ms = ms;
-    }
-    if let Some(seed) = parse_number(args, "--seed")? {
-        spec.seed = seed;
-    }
-    if let Some(w) = parse_positive(args, "--workers", "the pool needs a worker")? {
-        spec.workers = w as usize;
-    }
-    if let Some(d) = parse_positive(
-        args,
-        "--queue-depth",
-        "an unqueued server drops every burst",
-    )? {
-        spec.queue_depth = d as usize;
-    }
-    if let Some(slo) = parse_number(args, "--slo-us")? {
-        spec.slo_us = slo;
-    }
-    if let Some(p) = parse_value(args, "--policy")? {
+    let rate = args.positive(&RATE, "a rate of 0 offers no load")?;
+    spec.rate_rps = rate.unwrap_or(spec.rate_rps);
+    let duration = args.positive(&DURATION, "modeled milliseconds of arrivals")?;
+    spec.duration_ms = duration.unwrap_or(spec.duration_ms);
+    spec.seed = args.number(&SEED)?.unwrap_or(spec.seed);
+    let workers = args.positive(&WORKERS, "the pool needs a worker")?;
+    spec.workers = workers.unwrap_or(spec.workers);
+    let depth = args.positive(&QUEUE, "an unqueued server drops every burst")?;
+    spec.queue_depth = depth.unwrap_or(spec.queue_depth);
+    spec.slo_us = args.number(&SLO)?.unwrap_or(spec.slo_us);
+    if let Some(p) = args.value(&POLICY) {
         spec.policy = p.parse()?;
     }
-    if let Some(a) = parse_value(args, "--arrivals")? {
+    if let Some(a) = args.value(&ARRIVALS) {
         spec.process = a.parse()?;
     }
-    if let Some(t) = parse_positive(
-        args,
-        "--timeout-us",
-        "a zero deadline aborts every attempt at birth",
-    )? {
-        spec.timeout_us = t;
-    }
-    if let Some(r) = parse_number(args, "--retries")? {
-        spec.retries = u32::try_from(r).map_err(|_| format!("bad --retries `{r}`"))?;
-    }
-    if let Some(f) = parse_value(args, "--faults")? {
+    let timeout = args.positive(&TIMEOUT, "a zero deadline aborts every attempt at birth")?;
+    spec.timeout_us = timeout.unwrap_or(spec.timeout_us);
+    spec.retries = args.number(&RETRIES)?.unwrap_or(spec.retries);
+    if let Some(f) = args.value(&FAULTS) {
         spec.faults = Some(f.parse::<FaultSpec>()?);
     }
-    spec.pipelined = args.iter().any(|a| a == "--pipeline");
+    spec.pipelined = args.has(&PIPELINE);
     spec.validate()?;
 
-    let fp16 = args.iter().any(|a| a == "--fp16");
-    let mut opt = if fp16 {
-        CompileOptions::fp16()
-    } else {
-        let mut o = CompileOptions::int8();
-        o.calib_inputs = 1;
-        o
-    };
-    if args.iter().any(|a| a == "--unfused") {
-        opt = opt.unfused();
-    }
+    let opt = compile_options(args);
     // Serving is a timing flow: timing-only SoC, wfi firmware (as in
     // `sweep` and the default `batch`).
     let mut config = SocConfig::zcu102_timing_only();
@@ -836,7 +903,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         report.publish(&metrics);
     }
     obs.write(config.soc_hz, &metrics)?;
-    if json {
+    if args.has(&JSON) {
         // Machine-readable report on stdout, nothing else: every field
         // is modeled (host wall-clock excluded), so two runs of the
         // same spec print byte-identical JSON.
@@ -935,73 +1002,31 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_fleet(args: &[String]) -> Result<(), AnyError> {
-    validate_args(
-        "fleet",
-        args,
-        &["--fp16", "--unfused", "--json"],
-        &[
-            "--models",
-            "--pools",
-            "--route",
-            "--shape",
-            "--rate",
-            "--duration",
-            "--seed",
-            "--slo-us",
-            "--scale-window",
-            "--scale-up-below",
-            "--scale-down-above",
-            "--spot-windows",
-            "--window-frames",
-            "--trace-out",
-            "--metrics-out",
-        ],
-        0,
-    )?;
-    let models = parse_model_list("fleet", args)?;
-    let obs = ObsOut::from_args(args)?;
-    let json = args.iter().any(|a| a == "--json");
+fn cmd_fleet(args: &Args) -> Result<(), AnyError> {
+    let models = parse_model_list(args)?;
+    let obs = ObsOut::from_args(args);
     let names: Vec<String> = models.iter().map(|m| m.name().to_string()).collect();
     let mut spec = FleetSpec::default();
-    if let Some(s) = parse_value(args, "--pools")? {
+    if let Some(s) = args.value(&POOLS) {
         spec.pools = parse_pools(s, &names)?;
     }
-    if let Some(r) = parse_value(args, "--route")? {
+    if let Some(r) = args.value(&ROUTE) {
         spec.route = r.parse()?;
     }
-    if let Some(s) = parse_value(args, "--shape")? {
+    if let Some(s) = args.value(&SHAPE) {
         spec.shape = s.parse()?;
     }
-    if let Some(rate) = parse_positive(args, "--rate", "a rate of 0 offers no load")? {
-        spec.rate_rps = rate;
-    }
-    if let Some(ms) = parse_positive(args, "--duration", "modeled milliseconds of arrivals")? {
-        spec.duration_ms = ms;
-    }
-    if let Some(seed) = parse_number(args, "--seed")? {
-        spec.seed = seed;
-    }
-    if let Some(slo) = parse_number(args, "--slo-us")? {
-        spec.slo_us = slo;
-    }
-    if let Some(w) = parse_number(args, "--scale-window")? {
-        spec.scale_window_ms = w;
-    }
-    if let Some(p) = parse_number(args, "--scale-up-below")? {
-        spec.scale_up_below =
-            u32::try_from(p).map_err(|_| format!("bad --scale-up-below `{p}`"))?;
-    }
-    if let Some(p) = parse_number(args, "--scale-down-above")? {
-        spec.scale_down_above =
-            u32::try_from(p).map_err(|_| format!("bad --scale-down-above `{p}`"))?;
-    }
-    if let Some(k) = parse_number(args, "--spot-windows")? {
-        spec.spot_windows = k as usize;
-    }
-    if let Some(n) = parse_number(args, "--window-frames")? {
-        spec.window_frames = n as usize;
-    }
+    let rate = args.positive(&RATE, "a rate of 0 offers no load")?;
+    spec.rate_rps = rate.unwrap_or(spec.rate_rps);
+    let duration = args.positive(&DURATION, "modeled milliseconds of arrivals")?;
+    spec.duration_ms = duration.unwrap_or(spec.duration_ms);
+    spec.seed = args.number(&SEED)?.unwrap_or(spec.seed);
+    spec.slo_us = args.number(&SLO)?.unwrap_or(spec.slo_us);
+    spec.scale_window_ms = args.number(&SCALE_WIN)?.unwrap_or(spec.scale_window_ms);
+    spec.scale_up_below = args.number(&SCALE_UP)?.unwrap_or(spec.scale_up_below);
+    spec.scale_down_above = args.number(&SCALE_DOWN)?.unwrap_or(spec.scale_down_above);
+    spec.spot_windows = args.number(&SPOT)?.unwrap_or(spec.spot_windows);
+    spec.window_frames = args.number(&WIN_FRAMES)?.unwrap_or(spec.window_frames);
     spec.validate(models.len())?;
 
     // Fail the class/model mismatch before paying for compilation:
@@ -1026,17 +1051,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), AnyError> {
         }
     }
 
-    let fp16 = args.iter().any(|a| a == "--fp16");
-    let mut opt = if fp16 {
-        CompileOptions::fp16()
-    } else {
-        let mut o = CompileOptions::int8();
-        o.calib_inputs = 1;
-        o
-    };
-    if args.iter().any(|a| a == "--unfused") {
-        opt = opt.unfused();
-    }
+    let opt = compile_options(args);
     // Fleet serving is a timing flow (wfi firmware, timing-only SoCs);
     // the per-pool hardware class overrides `opt.hw` inside `Fleet::new`.
     let codegen = CodegenOptions {
@@ -1054,7 +1069,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), AnyError> {
         report.publish(&metrics);
     }
     obs.write(report.soc_hz, &metrics)?;
-    if json {
+    if args.has(&JSON) {
         // Machine-readable report on stdout, nothing else: every field
         // is modeled (host wall-clock excluded), so two runs of the
         // same spec print byte-identical JSON.
@@ -1138,28 +1153,12 @@ fn cmd_fleet(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_fuzz(args: &[String]) -> Result<(), AnyError> {
-    validate_args("fuzz", args, &["--shrink"], &["--seed", "--budget"], 1)?;
-    // The single positional is the target name; value flags consume
-    // their argument in the scan, exactly like the model-name scan.
-    let mut target = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if VALUE_FLAGS.contains(&a) {
-            i += 2;
-            continue;
-        }
-        if !a.starts_with("--") {
-            target = Some(a);
-            break;
-        }
-        i += 1;
-    }
-    let target =
-        target.ok_or("missing fuzz target (one of riscv|bus|net|batch|serve|fleet|all)")?;
-    let seed = parse_number(args, "--seed")?.unwrap_or(1);
-    let budget = match parse_number(args, "--budget")? {
+fn cmd_fuzz(args: &Args) -> Result<(), AnyError> {
+    let target = args
+        .positional
+        .ok_or("missing fuzz target (one of riscv|bus|net|batch|serve|fleet|all)")?;
+    let seed: u64 = args.number(&SEED)?.unwrap_or(1);
+    let budget = match args.number(&BUDGET)? {
         Some(b) => b,
         None => match std::env::var("RVNV_FUZZ_BUDGET") {
             Ok(v) => v
@@ -1171,7 +1170,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), AnyError> {
     if budget == 0 {
         return Err("bad --budget `0` (must be >= 1)".into());
     }
-    let do_shrink = args.iter().any(|a| a == "--shrink");
+    let do_shrink = args.has(&SHRINK);
     let started = Instant::now();
     let reports = rvnv_fuzz::run(target, seed, budget, do_shrink)?;
     let mut failures = 0usize;
@@ -1236,7 +1235,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_traces() -> Result<(), AnyError> {
+fn cmd_traces(_: &Args) -> Result<(), AnyError> {
     for trace in rvnv_compiler::traces::all() {
         let asm = rvnv_compiler::codegen::generate_assembly(&trace.commands);
         let image = rvnv_riscv::assemble(&asm)?;
@@ -1246,9 +1245,7 @@ fn cmd_traces() -> Result<(), AnyError> {
         };
         // Minimal artifacts shell for the harness.
         let net = rv_nvdla::prelude::Model::LeNet5.build(1);
-        let mut opt = CompileOptions::int8();
-        opt.calib_inputs = 1;
-        let mut artifacts = compile(&net, &opt)?;
+        let mut artifacts = compile(&net, &int8_options())?;
         artifacts.commands = trace.commands.clone();
         artifacts.weights = trace.preload.clone();
         artifacts.input_len = 0;
@@ -1275,7 +1272,7 @@ fn cmd_traces() -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_resources() -> Result<(), AnyError> {
+fn cmd_resources(_: &Args) -> Result<(), AnyError> {
     use rvnv_soc::resources;
     for cfg in [
         rvnv_nvdla::HwConfig::nv_small(),
@@ -1295,7 +1292,7 @@ fn cmd_resources() -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_models() -> Result<(), AnyError> {
+fn cmd_models(_: &Args) -> Result<(), AnyError> {
     for m in Model::ALL {
         let net = m.build(1);
         let nv_small = if Model::NV_SMALL.contains(&m) {

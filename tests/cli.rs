@@ -3,6 +3,7 @@
 //! what a valid value looks like — never be silently clamped to
 //! something runnable (`--frames 0` used to become `--frames 1`).
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Run the built binary; return (success, stderr).
@@ -502,5 +503,85 @@ fn run_repeat_reports_block_cache_counters() {
     assert!(
         cache_line.contains("0 misses"),
         "a warm run must replay without decoding: {cache_line}"
+    );
+}
+
+/// The flags `cmd` accepts, read from its unknown-flag rejection.
+fn accepted_flags(cmd: &str) -> Vec<String> {
+    let (_, stderr) = rv_nvdla(&[cmd, "--no-such-flag"]);
+    let list = stderr
+        .split("(accepted: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .unwrap_or_else(|| panic!("`{cmd}` must list its accepted flags, got:\n{stderr}"));
+    list.split(", ").map(str::to_string).collect()
+}
+
+/// An error that points the user at a flag must name a flag that
+/// exists: `--faults` under `--pipeline` used to blame `--pipelined`.
+#[test]
+fn serve_fault_pipeline_error_names_real_flags() {
+    let args = [
+        "serve",
+        "--models",
+        "lenet5",
+        "--pipeline",
+        "--faults",
+        "seed=1,errors=10",
+    ];
+    assert_rejects(&args, &["--faults", "--pipeline"]);
+    let (_, stderr) = rv_nvdla(&args);
+    let accepted = accepted_flags("serve");
+    for token in stderr.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+        if token.starts_with("--") && token[2..].starts_with(|c: char| c.is_ascii_lowercase()) {
+            assert!(
+                accepted.iter().any(|f| f == token),
+                "error names `{token}`, which `serve` does not accept:\n{stderr}"
+            );
+        }
+    }
+}
+
+/// A value flag consumes the next argument verbatim: `--out --fp16`
+/// writes into a directory named `--fp16` and does not also switch the
+/// build to FP16, so its config file is the default INT8 one.
+#[test]
+fn a_flag_value_is_never_read_as_a_flag() {
+    let root = std::env::temp_dir().join(format!("rvnv-cli-out-{}", std::process::id()));
+    let (plain, odd) = (root.join("plain"), root.join("odd"));
+    let compile = |cwd: &Path, args: &[&str]| {
+        std::fs::create_dir_all(cwd).expect("create temp dir");
+        let out = Command::new(env!("CARGO_BIN_EXE_rv-nvdla"))
+            .args(args)
+            .current_dir(cwd)
+            .output()
+            .expect("run rv-nvdla");
+        assert!(
+            out.status.success(),
+            "`rv-nvdla {}` must succeed, got:\n{}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    compile(&plain, &["compile", "lenet5"]);
+    compile(&odd, &["compile", "lenet5", "--out", "--fp16"]);
+    let read =
+        |p: PathBuf| std::fs::read(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()));
+    let int8 = read(plain.join("lenet5.cfg"));
+    let written = read(odd.join("--fp16").join("lenet5.cfg"));
+    std::fs::remove_dir_all(&root).ok();
+    assert!(
+        written == int8,
+        "`compile lenet5 --out --fp16` must write the INT8 config into `--fp16/`"
+    );
+}
+
+/// A flag given twice is an error naming it, not a silent pick of one
+/// of the two values.
+#[test]
+fn repeated_flags_are_rejected() {
+    assert_rejects(
+        &["serve", "--models", "lenet5", "--rate", "5", "--rate", "6"],
+        &["`--rate`", "more than once"],
     );
 }

@@ -2,9 +2,9 @@
 //! step: every intra-repo markdown link must resolve to a real file,
 //! every `rv-nvdla` subcommand a document names must exist in the
 //! binary's `--help` (usage) output, and every `--flag` a document
-//! names for a subcommand must exist in that subcommand's strict
-//! `validate_args` rejection list — documentation can't drift from the
-//! CLI it describes, down to the flag grammar.
+//! names for a subcommand must exist in that subcommand's accepted-flag
+//! list, which the CLI derives from its one flag table — documentation
+//! can't drift from the CLI it describes, down to the flag grammar.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -129,9 +129,10 @@ fn mentioned_subcommands(text: &str) -> BTreeSet<String> {
 const FLAGGED_COMMANDS: [&str; 7] = ["compile", "run", "sweep", "batch", "serve", "fleet", "fuzz"];
 
 /// Flags a subcommand accepts, parsed from its own strict-validation
-/// rejection message: feeding it a flag that cannot exist makes
-/// `validate_args` answer with the full `(accepted: ...)` list, so the
-/// source of truth is the binary itself, not a copy of its tables.
+/// rejection message: feeding it a flag that cannot exist makes the
+/// parser answer with the full `(accepted: ...)` list it derives from
+/// the flag table, so the source of truth is the binary itself, not a
+/// copy of its tables.
 fn accepted_flags(cmd: &str) -> BTreeSet<String> {
     let out = Command::new(env!("CARGO_BIN_EXE_rv-nvdla"))
         .args([cmd, "--no-such-flag-drift-probe"])
